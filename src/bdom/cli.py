@@ -37,6 +37,7 @@ from .graphs import (
     serialize,
 )
 from .solvers import (
+    MAX_SUBSET_VERTEX_CAP,
     SolverBudget,
     solve_gamma,
     solve_gamma_b,
@@ -80,7 +81,13 @@ def config_from_args(args) -> RunConfig:
     if nodes is None:
         env = os.environ.get(BUDGET_ENV_VAR)
         nodes = int(env) if env else SolverBudget().broadcast_node_cap
-    subset_cap = getattr(args, "subset_cap", None) or SolverBudget().subset_vertex_cap
+    subset_cap = getattr(args, "subset_cap", None)
+    if subset_cap is None:
+        subset_cap = SolverBudget().subset_vertex_cap
+    elif not 1 <= subset_cap <= MAX_SUBSET_VERTEX_CAP:
+        raise InputError(
+            f"--subset-cap must be between 1 and {MAX_SUBSET_VERTEX_CAP}, got {subset_cap}"
+        )
     return RunConfig(
         budget=SolverBudget(subset_vertex_cap=subset_cap, broadcast_node_cap=nodes),
         seed=getattr(args, "seed", 0),
@@ -366,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-nodes", type=int, default=None,
                        help=f"broadcast-search node cap (env {BUDGET_ENV_VAR})")
         p.add_argument("--subset-cap", type=int, default=None,
-                       help="vertex cap for subset-sweep solvers (default 25)")
+                       help="vertex cap for subset-sweep solvers, 1 to "
+                            f"{MAX_SUBSET_VERTEX_CAP} (default 25)")
 
     p = sub.add_parser("invariant", help="compute one invariant of one graph")
     p.add_argument("--family", help="family spec, e.g. torus:3,4 or cycle:8")

@@ -20,6 +20,12 @@ diameter (a peripheral vertex broadcasting at full eccentricity is always a
 minimal dominating broadcast); because the enumeration order is lexicographic,
 the first witness recorded at the final value is the lexicographically
 smallest optimal witness.
+
+The minimum-cost search and the enumeration, which have no incumbent, add a
+coverage bound instead.  With rho = max |ball(v, s)| / s over all vertices v
+and strengths 1 <= s <= ecc(v), a broadcaster of strength s hears at most
+rho * s vertices, so hearing the unheard set U costs at least |U| / rho, and a
+branch with cost + |U| / rho above the cost bound has no completion.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .errors import CapabilityError, InputError
 from .graphs import Graph, metrics
 
 DEFAULT_SUBSET_VERTEX_CAP = 25
+MAX_SUBSET_VERTEX_CAP = 32  # the sweep's subset masks are uint32
 DEFAULT_BROADCAST_NODE_CAP = 50_000_000
 
 _CHUNK_BITS = 20  # subsets are swept in chunks of 2^20
@@ -92,6 +99,16 @@ def _require_connected(g: Graph) -> None:
         raise CapabilityError("solver requires a connected graph")
 
 
+def _check_witness(invariant: str, ok: bool) -> None:
+    """Fail loudly when the predicate layer rejects a solver's witness.
+
+    An explicit raise, not an assert, so that the check also runs under
+    `python -O`.
+    """
+    if not ok:
+        raise AssertionError(f"{invariant} witness rejected by the predicate layer")
+
+
 # --- minimal dominating SET sweep -------------------------------------------
 
 
@@ -122,6 +139,7 @@ def _minimal_set_sweep(g: Graph, cap: int):
     the maximal bit-reversed mask.
     """
     n = g.n
+    cap = min(cap, MAX_SUBSET_VERTEX_CAP)
     if n > cap:
         raise CapabilityError(
             f"subset search capped at {cap} vertices, graph has {n}"
@@ -174,14 +192,14 @@ def _minimal_set_sweep(g: Graph, cap: int):
 def solve_gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
     """Minimum size of a minimal dominating set, by exhaustive subset sweep."""
     value, witness, _, _, nodes = _minimal_set_sweep(g, budget.subset_vertex_cap)
-    assert is_minimal_dominating_set(g, witness) and len(witness) == value
+    _check_witness("gamma", is_minimal_dominating_set(g, witness) and len(witness) == value)
     return InvariantReport("gamma", value, "exact", witness_set=witness, nodes=nodes)
 
 
 def solve_upper_gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
     """Maximum size of a minimal dominating set, by exhaustive subset sweep."""
     _, _, value, witness, nodes = _minimal_set_sweep(g, budget.subset_vertex_cap)
-    assert is_minimal_dominating_set(g, witness) and len(witness) == value
+    _check_witness("Gamma", is_minimal_dominating_set(g, witness) and len(witness) == value)
     return InvariantReport("Gamma", value, "exact", witness_set=witness, nodes=nodes)
 
 
@@ -202,6 +220,7 @@ class _SearchContext:
     cand: tuple[tuple[int, ...], ...]  # cand[v][s]: allowed private-neighbor spots
     suffix_cover: tuple[int, ...]  # union of maximal balls of vertices >= i
     suffix_strength: tuple[int, ...]  # sum of eccentricities of vertices >= i
+    cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= ecc(v)
 
 
 @lru_cache(maxsize=256)
@@ -211,6 +230,7 @@ def _search_context(g: Graph) -> _SearchContext:
     dist = m.dist
     ball = []
     cand = []
+    num, den = 0, 1  # largest |ball(v, s)| / s; a lone vertex hears nothing
     for v in range(n):
         by_s = [1 << v]
         spheres = [1 << v]
@@ -218,6 +238,9 @@ def _search_context(g: Graph) -> _SearchContext:
             sphere = sum(1 << u for u in range(n) if dist[v][u] == s)
             spheres.append(sphere)
             by_s.append(by_s[-1] | sphere)
+            size = by_s[-1].bit_count()
+            if size * den > num * s:
+                num, den = size, s
         ball.append(tuple(by_s))
         # a private neighbor must sit at distance exactly s, except that a
         # strength-1 broadcaster may also be its own private neighbor
@@ -241,6 +264,7 @@ def _search_context(g: Graph) -> _SearchContext:
         tuple(cand),
         tuple(suffix_cover),
         tuple(suffix_strength),
+        (num, den),
     )
 
 
@@ -266,65 +290,96 @@ def _search_minimal_broadcasts(
     given, is a mutable [floor, have_witness] pair: subtrees that cannot beat
     the floor (or merely tie it once a witness exists) are skipped, which is
     sound for a maximum search because the bound never underestimates a
-    subtree's best completion.
+    subtree's best completion.  Without an incumbent, subtrees whose unheard
+    vertices cannot be covered within the cost bound are skipped instead.
     """
     n = ctx.n
     cap = min(cost_bound, ctx.edge_count)
-    full = (1 << n) - 1
     strengths = [0] * n
+    support: list[int] = []  # private-neighbor spots of the broadcasters so far
     ball = ctx.ball
     cand = ctx.cand
     ecc = ctx.ecc
     suffix_cover = ctx.suffix_cover
     suffix_strength = ctx.suffix_strength
+    cover_num, cover_den = ctx.cover_ratio
+    bound_cover = incumbent is None
+    floor = (0, False) if incumbent is None else incumbent
+    count = nodes.count
+    node_cap = nodes.cap
 
-    def prune(optimistic: int) -> bool:
-        if incumbent is None:
-            return False
-        floor, have_witness = incumbent
-        return optimistic < floor or (optimistic == floor and have_witness)
-
-    def rec(i: int, total: int, unheard: int, exactly_one: int, support: tuple[int, ...]):
-        nodes.count += 1
-        if nodes.count > nodes.cap:
+    def rec(i: int, total: int, unheard: int, exactly_one: int):
+        nonlocal count
+        count += 1
+        if count > node_cap:
             raise CapabilityError(
-                f"broadcast search exceeded the node budget ({nodes.cap})"
+                f"broadcast search exceeded the node budget ({node_cap})"
             )
         if i == n:
             if unheard == 0:
                 on_found(total, tuple(strengths))
             return
+        if bound_cover and unheard.bit_count() * cover_den > cover_num * (cap - total):
+            return
+        # the optimistic bound min(total + s + rest, cap) must reach `need`;
+        # it rises with s, so only strengths from `first` on can pass
+        need = floor[0] + floor[1]
+        if cap < need:
+            return
+        rest = suffix_strength[i + 1]
+        first = need - rest - total
+        outside = ~suffix_cover[i + 1]  # vertices no later broadcaster can reach
         # strength 0 first: lexicographic order over full vectors
-        if unheard & ~suffix_cover[i + 1] == 0 and not prune(
-            min(total + suffix_strength[i + 1], cap)
-        ):
-            rec(i + 1, total, unheard, exactly_one, support)
-        for s in range(1, ecc[i] + 1):
-            t = total + s
-            if t > cap:
-                break
-            if prune(min(t + suffix_strength[i + 1], cap)):
+        if first <= 0 and unheard & outside == 0:
+            rec(i + 1, total, unheard, exactly_one)
+            need = floor[0] + floor[1]
+            if cap < need:
+                return
+            first = need - rest - total
+        balls = ball[i]
+        cands = cand[i]
+        top = cap - total
+        if top > ecc[i]:
+            top = ecc[i]
+        for s in range(first if first > 1 else 1, top + 1):
+            if s < first:
                 continue
-            b = ball[i][s]
-            new_unheard = unheard & ~b
-            if new_unheard & ~suffix_cover[i + 1]:
+            mine = cands[s]
+            # mine lies inside the ball, whose unheard vertices are the only
+            # ones there left heard exactly once: a private neighbor must be one
+            if mine & unheard == 0:
                 continue
-            new_exactly_one = (exactly_one & ~b) | (unheard & b)
-            mine = cand[i][s]
-            if mine & new_exactly_one == 0:
+            b = balls[s]
+            heard_now = unheard & b
+            new_unheard = unheard ^ heard_now
+            if new_unheard & outside:
                 continue
-            ok = True
-            for cm in support:
-                if cm & new_exactly_one == 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
+            heard_twice = exactly_one & b
+            new_exactly_one = exactly_one ^ heard_twice | heard_now
+            # only vertices heard for the second time can take a private
+            # neighbor away from an earlier broadcaster
+            if heard_twice:
+                ok = True
+                for cm in support:
+                    if cm & new_exactly_one == 0:
+                        ok = False
+                        break
+                if not ok:
+                    continue
             strengths[i] = s
-            rec(i + 1, t, new_unheard, new_exactly_one, support + (mine,))
+            support.append(mine)
+            rec(i + 1, total + s, new_unheard, new_exactly_one)
+            support.pop()
             strengths[i] = 0
+            need = floor[0] + floor[1]
+            if cap < need:
+                return
+            first = need - rest - total
 
-    rec(0, 0, full, 0, ())
+    try:
+        rec(0, 0, (1 << n) - 1, 0)
+    finally:
+        nodes.count = count
 
 
 def _space_estimate(ctx: _SearchContext) -> str:
@@ -336,7 +391,11 @@ def enumerate_minimal_broadcasts(
     g: Graph, cost_bound: int, budget: SolverBudget = DEFAULT_BUDGET
 ) -> Iterator[Broadcast]:
     """Every minimal dominating broadcast of cost <= cost_bound, exactly once,
-    in lexicographic strength-vector order.  Single-consumer iterator."""
+    in lexicographic strength-vector order.
+
+    The search runs to completion before this returns: the result is an
+    iterator over a list already built, so a budget error is raised here,
+    never midway through iteration."""
     _require_connected(g)
     if cost_bound < 0:
         raise InputError("cost bound must be non-negative")
@@ -384,7 +443,9 @@ def solve_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantR
             ) from None
     value, vec = best[0]
     witness = Broadcast(vec)
-    assert is_minimal_dominating_broadcast(g, witness) and cost(witness) == value
+    _check_witness(
+        "gamma_b", is_minimal_dominating_broadcast(g, witness) and cost(witness) == value
+    )
     return InvariantReport(
         "gamma_b", value, "exact", witness_broadcast=witness, nodes=nodes.count
     )
@@ -419,7 +480,9 @@ def solve_upper_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Inva
         raise CapabilityError(f"{exc}; search space {_space_estimate(ctx)}") from None
     value = incumbent[0]
     witness = Broadcast(best[0])
-    assert is_minimal_dominating_broadcast(g, witness) and cost(witness) == value
+    _check_witness(
+        "Gamma_b", is_minimal_dominating_broadcast(g, witness) and cost(witness) == value
+    )
     return InvariantReport(
         "Gamma_b", value, "exact", witness_broadcast=witness, nodes=nodes.count
     )

@@ -231,3 +231,18 @@ def test_generate_torus(capsys):
 def test_generate_bad_family(capsys):
     code, _, _ = run(capsys, "generate", "--family", "cycle:2")
     assert code == EXIT_INPUT
+
+
+def test_subset_cap_zero_is_refused(capsys):
+    code, out, err = run(
+        capsys, "invariant", "--family", "path:5", "--which", "gamma", "--subset-cap", "0",
+    )
+    assert code == EXIT_INPUT and "--subset-cap" in err and out == ""
+
+
+def test_subset_cap_above_mask_width_is_refused(capsys):
+    # the sweep's masks are uint32, so a cap of 40 would overflow on path:33
+    code, out, err = run(
+        capsys, "invariant", "--family", "path:33", "--which", "gamma", "--subset-cap", "40",
+    )
+    assert code == EXIT_INPUT and "--subset-cap" in err and out == ""

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -111,9 +115,11 @@ PRUNED_VS_BRUTE = [
     gen_path(4),
     gen_path(7),
     gen_cycle(5),
+    gen_cycle(6),
     gen_cycle(7),
     gen_star(5),
     gen_grid(2, 3),
+    gen_torus(3, 3),
     build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)]),
     build_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]),
     build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]),
@@ -138,6 +144,32 @@ def test_pruned_equals_unpruned_random_trees(n, data):
     t = prufer_to_graph(seq, n)
     assert solve_upper_gamma_b(t).value == brute_upper_gamma_b(t)
     assert solve_gamma_b(t).value == brute_gamma_b(t)
+
+
+@st.composite
+def connected_non_trees(draw):
+    """A random tree on at most 6 vertices plus 1-3 extra edges."""
+    n = draw(st.integers(3, 6))
+    seq = tuple(draw(st.integers(0, n - 1)) for _ in range(n - 2))
+    tree = prufer_to_graph(seq, n)
+    present = set(tree.edges())
+    missing = [e for e in itertools.combinations(range(n), 2) if e not in present]
+    extra = draw(
+        st.lists(st.sampled_from(missing), min_size=1, max_size=min(3, len(missing)), unique=True)
+    )
+    return build_graph(n, list(tree.edges()) + extra)
+
+
+@given(connected_non_trees())
+@settings(max_examples=30, deadline=None)
+def test_pruned_equals_unpruned_random_non_trees(g):
+    # balls of uneven size across vertices and strengths, where a wrong
+    # coverage ratio would cut a completable branch
+    brute = brute_minimal_broadcasts(g)
+    assert solve_upper_gamma_b(g).value == max(cost(b) for b in brute)
+    assert solve_gamma_b(g).value == min(cost(b) for b in brute)
+    got = [b.strengths for b in enumerate_minimal_broadcasts(g, g.edge_count())]
+    assert got == sorted(b.strengths for b in brute)
 
 
 SANDWICH_GRAPHS = [
@@ -167,7 +199,7 @@ def test_invariant_sandwich(g):
 
 
 def test_witnesses_are_lexicographically_smallest(fig_graph):
-    for g in (fig_graph, gen_cycle(5), gen_path(4), gen_star(3)):
+    for g in (fig_graph, gen_cycle(5), gen_cycle(6), gen_path(4), gen_star(3), gen_torus(3, 3)):
         sets = brute_minimal_dominating_sets(g)
         lo = min(len(s) for s in sets)
         hi = max(len(s) for s in sets)
@@ -189,6 +221,9 @@ def test_subset_cap():
     with pytest.raises(CapabilityError):
         solve_gamma(g, SolverBudget(subset_vertex_cap=25))
     solve_gamma(gen_path(5), SolverBudget(subset_vertex_cap=5))
+    # the sweep's masks are uint32: a larger cap is lowered to 32, not overflowed
+    with pytest.raises(CapabilityError, match="capped at 32"):
+        solve_gamma(gen_path(33), SolverBudget(subset_vertex_cap=40))
 
 
 def test_node_budget_reports_estimate():
@@ -217,3 +252,33 @@ def test_determinism(fig_graph):
     a = solve_upper_gamma_b(fig_graph)
     b = solve_upper_gamma_b(fig_graph)
     assert a == b
+
+
+WITNESS_CHECK_UNDER_O = """
+import sys
+from bdom import solvers
+from bdom.graphs import gen_path
+
+def bad_search(ctx, cost_bound, nodes, on_found, incumbent=None):
+    # (1, 1, 1, 0) dominates P4, but vertex 1 keeps no private neighbour
+    on_found(3, (1, 1, 1, 0))
+
+solvers._search_minimal_broadcasts = bad_search
+try:
+    solvers.{solver}(gen_path(4))
+except AssertionError as exc:
+    print("optimize", sys.flags.optimize, "rejected:", exc)
+"""
+
+
+@pytest.mark.parametrize("solver", ["solve_gamma_b", "solve_upper_gamma_b"])
+def test_witness_check_survives_optimize_flag(solver):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = WITNESS_CHECK_UNDER_O.format(solver=solver)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "optimize 1 rejected:" in proc.stdout
+    assert "witness rejected by the predicate layer" in proc.stdout
