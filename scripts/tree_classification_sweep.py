@@ -3,53 +3,36 @@
 
 Checks every tree on up to 9 vertices exhaustively plus 200 seeded random
 trees on 10..14 vertices, prints the agreement summary, and writes each
-disagreeing tree to disagreements/ as an edge list.  The known gap is the
-sufficiency direction: some trees pass every structural condition while a
-limb-tip broadcast still beats the diameter.
+disagreeing tree to disagreements/ as an edge list.  The rule fails both
+ways: some trees pass every structural condition while a limb-tip broadcast
+still beats the diameter, and one diametrical tree fails the spacing table.
 """
 
-import random
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bdom.diametrical import classify_tree, is_diametrical_exact
-from bdom.graphs import serialize
-from bdom.trees import enumerate_trees, random_tree
+from bdom import sweeps
 
 
 def main() -> int:
     started = time.monotonic()
-    trees = list(enumerate_trees(9))
-    rng = random.Random(0)
-    trees += [random_tree(rng.randrange(10, 15), rng) for _ in range(200)]
-
-    disagreements = []
-    diametrical = 0
-    for t in trees:
-        structural = classify_tree(t).diametrical
-        exact = is_diametrical_exact(t)
-        diametrical += exact
-        if structural != exact:
-            disagreements.append(t)
-
+    checks = [sweeps.check_tree(t) for t in sweeps.classification_corpus()]
     out_dir = Path(__file__).resolve().parent / "disagreements"
-    if disagreements:
-        out_dir.mkdir(exist_ok=True)
-        for i, t in enumerate(disagreements):
-            (out_dir / f"disagreement_{i:04d}.edges").write_text(serialize(t))
+    sweeps.dump_disagreements(checks, out_dir)
+    summary = sweeps.summarize(checks)
 
     elapsed = time.monotonic() - started
-    print(f"trees checked:     {len(trees)}")
-    print(f"diametrical:       {diametrical}")
-    print(f"agreements:        {len(trees) - len(disagreements)}")
-    print(f"disagreements:     {len(disagreements)}")
+    print(f"trees checked:     {summary['trees']}")
+    print(f"diametrical:       {summary['diametrical']}")
+    print(f"agreements:        {summary['agreements']}")
+    print(f"disagreements:     {summary['disagreements']}")
     print(f"elapsed:           {elapsed:.1f}s")
-    if disagreements:
+    if summary["disagreements"]:
         print(f"disagreeing trees written to {out_dir}/")
-    return 3 if disagreements else 0
+    return 3 if summary["disagreements"] else 0
 
 
 if __name__ == "__main__":

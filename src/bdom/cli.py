@@ -13,14 +13,11 @@ import csv
 import io
 import json
 import os
-import random
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import formulas
+from . import formulas, sweeps
 from .diametrical import classify_tree, is_diametrical_exact
 from .errors import CapabilityError, InputError
 from .graphs import (
@@ -36,15 +33,8 @@ from .graphs import (
     parse_edge_list,
     serialize,
 )
-from .solvers import (
-    MAX_SUBSET_VERTEX_CAP,
-    SolverBudget,
-    solve_gamma,
-    solve_gamma_b,
-    solve_upper_gamma,
-    solve_upper_gamma_b,
-)
-from .trees import enumerate_trees, random_tree
+from .solvers import MAX_SUBSET_VERTEX_CAP, SolverBudget
+from .sweeps import INVARIANT_SOLVERS
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -53,48 +43,24 @@ EXIT_MISMATCH = 3
 
 BUDGET_ENV_VAR = "BD_BUDGET_NODES"
 
-INVARIANT_SOLVERS = {
-    "gamma": solve_gamma,
-    "Gamma": solve_upper_gamma,
-    "gamma_b": solve_gamma_b,
-    "Gamma_b": solve_upper_gamma_b,
-}
-
-CSV_COLUMNS = [
-    "family", "m", "n", "invariant", "closed_form", "exact", "match", "nodes", "millis",
-]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options shared by the subcommands."""
-
-    budget: SolverBudget = SolverBudget()
-    seed: int = 0
-    jobs: int = 1
-    output: str | None = None
-    fmt: str = "json"
-
-
-def config_from_args(args) -> RunConfig:
-    nodes = getattr(args, "budget_nodes", None)
+def budget_from_args(args) -> SolverBudget:
+    """The solver budget from --budget-nodes (else the environment) and
+    --subset-cap."""
+    nodes = args.budget_nodes
     if nodes is None:
         env = os.environ.get(BUDGET_ENV_VAR)
-        nodes = int(env) if env else SolverBudget().broadcast_node_cap
-    subset_cap = getattr(args, "subset_cap", None)
+        try:
+            nodes = int(env) if env else SolverBudget().broadcast_node_cap
+        except ValueError:
+            raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+    subset_cap = args.subset_cap
     if subset_cap is None:
         subset_cap = SolverBudget().subset_vertex_cap
     elif not 1 <= subset_cap <= MAX_SUBSET_VERTEX_CAP:
         raise InputError(
             f"--subset-cap must be between 1 and {MAX_SUBSET_VERTEX_CAP}, got {subset_cap}"
         )
-    return RunConfig(
-        budget=SolverBudget(subset_vertex_cap=subset_cap, broadcast_node_cap=nodes),
-        seed=getattr(args, "seed", 0),
-        jobs=getattr(args, "jobs", 1),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "format", "json"),
-    )
+    return SolverBudget(subset_vertex_cap=subset_cap, broadcast_node_cap=nodes)
 
 
 def parse_family(spec: str) -> tuple[str, int | None, int, Graph]:
@@ -152,21 +118,8 @@ def _emit(text: str, output: str | None) -> None:
 # --- invariant ---------------------------------------------------------------
 
 
-def _closed_form_report(family: str, which: str, m: int | None, n: int) -> dict:
-    fr = formulas.evaluate(family, which, m, n)
-    return {
-        "invariant": which,
-        "value": fr.value,
-        "method": "closed_form",
-        "source": fr.source,
-        "applicability": fr.applicability,
-        "witness": None,
-        "nodes": 0,
-    }
-
-
 def cmd_invariant(args) -> int:
-    cfg = config_from_args(args)
+    budget = budget_from_args(args)
     if bool(args.family) == bool(args.graph):
         raise InputError("exactly one of --family / --graph is required")
     family = m = n = None
@@ -175,25 +128,22 @@ def cmd_invariant(args) -> int:
     else:
         g = _load_graph(args.graph)
 
-    if args.method == "exact":
-        out = INVARIANT_SOLVERS[args.which](g, cfg.budget).to_json_dict()
-    elif args.method == "closed-form":
-        if family is None:
-            raise InputError("closed-form evaluation needs --family, not --graph")
-        out = _closed_form_report(family, args.which, m, n)
+    if args.method != "exact" and family is None:
+        raise InputError("closed-form evaluation needs --family, not --graph")
+    if args.method == "closed-form":
+        out = formulas.evaluate(family, args.which, m, n).to_json_dict()
     else:
-        if family is None:
-            raise InputError("closed-form evaluation needs --family, not --graph")
-        exact = INVARIANT_SOLVERS[args.which](g, cfg.budget).to_json_dict()
-        closed = _closed_form_report(family, args.which, m, n)
+        out = INVARIANT_SOLVERS[args.which](g, budget).to_json_dict()
+    if args.method == "both":
+        closed = formulas.evaluate(family, args.which, m, n).to_json_dict()
         out = {
             "invariant": args.which,
-            "value": exact["value"],
-            "exact": exact,
+            "value": out["value"],
+            "exact": out,
             "closed_form": closed,
-            "match": exact["value"] == closed["value"],
+            "match": out["value"] == closed["value"],
         }
-    _emit(json.dumps(out, indent=2), cfg.output)
+    _emit(json.dumps(out, indent=2), args.output)
     if args.method == "both" and not out["match"]:
         return EXIT_MISMATCH
     return EXIT_OK
@@ -214,47 +164,8 @@ def _parse_range(text: str) -> range:
     return range(lo_i, hi_i + 1)
 
 
-def _verify_point(family: str, which: str, m: int | None, n: int,
-                  subset_cap: int, node_cap: int) -> dict:
-    budget = SolverBudget(subset_vertex_cap=subset_cap, broadcast_node_cap=node_cap)
-    row = {
-        "family": family,
-        "m": "" if m is None else m,
-        "n": n,
-        "invariant": which,
-        "closed_form": "",
-        "exact": "",
-        "match": "",
-        "nodes": 0,
-        "millis": 0,
-    }
-    started = time.monotonic()
-    try:
-        row["closed_form"] = formulas.evaluate(family, which, m, n).value
-    except (InputError, CapabilityError):
-        row["closed_form"] = "n/a"
-    g = {
-        "cycle": lambda: gen_cycle(n),
-        "torus": lambda: gen_torus(m, n),
-        "grid": lambda: gen_grid(m, n),
-    }[family]()
-    try:
-        if which == "diametrical":
-            row["exact"] = int(is_diametrical_exact(g, budget))
-        else:
-            rep = INVARIANT_SOLVERS[which](g, budget)
-            row["exact"] = rep.value
-            row["nodes"] = rep.nodes
-    except CapabilityError:
-        row["exact"] = "skipped:budget"
-    if isinstance(row["closed_form"], int) and isinstance(row["exact"], int):
-        row["match"] = "true" if row["closed_form"] == row["exact"] else "false"
-    row["millis"] = int((time.monotonic() - started) * 1000)
-    return row
-
-
 def cmd_verify(args) -> int:
-    cfg = config_from_args(args)
+    budget = budget_from_args(args)
     family = args.family
     if family == "cycle":
         points = [(None, n) for n in _parse_range(args.n)]
@@ -269,27 +180,21 @@ def cmd_verify(args) -> int:
         ]
     if not points:
         raise InputError("sweep range is empty")
-    tasks = [
-        (family, args.which, m, n,
-         cfg.budget.subset_vertex_cap, cfg.budget.broadcast_node_cap)
-        for m, n in points
-    ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_verify_point, *zip(*tasks)))
+    tasks = [(family, args.which, m, n, budget) for m, n in points]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(sweeps.verify_point, *zip(*tasks)))
     else:
-        rows = [_verify_point(*t) for t in tasks]
-    rows.sort(key=lambda r: (r["m"] if r["m"] != "" else 0, r["n"]))
-
-    if cfg.fmt == "json":
+        rows = [sweeps.verify_point(*t) for t in tasks]
+    if args.format == "json":
         text = json.dumps(rows, indent=2)
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    _emit(text, cfg.output)
+    _emit(text, args.output)
     if any(r["match"] == "false" for r in rows):
         return EXIT_MISMATCH
     return EXIT_OK
@@ -299,18 +204,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = config_from_args(args)
+    budget = budget_from_args(args)
     g = _load_graph(args.graph)
     verdict = classify_tree(g)
     out = verdict.to_json_dict()
     code = EXIT_OK
     if args.oracle:
-        exact = is_diametrical_exact(g, cfg.budget)
+        exact = is_diametrical_exact(g, budget)
         out["oracle"] = {"diametrical": exact}
         out["match"] = verdict.diametrical == exact
         if not out["match"]:
             code = EXIT_MISMATCH
-    _emit(json.dumps(out, indent=2), cfg.output)
+    _emit(json.dumps(out, indent=2), args.output)
     return code
 
 
@@ -318,36 +223,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate_check(args) -> int:
-    cfg = config_from_args(args)
-    trees = list(enumerate_trees(args.max_n))
-    rng = random.Random(cfg.seed)
-    for _ in range(args.random):
-        size = rng.randrange(args.random_min, args.random_max + 1)
-        trees.append(random_tree(size, rng))
-    total = len(trees)
-    diametrical = agreements = 0
-    disagreements = []
-    for t in trees:
-        structural = classify_tree(t).diametrical
-        exact = is_diametrical_exact(t, cfg.budget)
-        diametrical += exact
-        if structural == exact:
-            agreements += 1
-        else:
-            disagreements.append(t)
-    if args.dump_dir and disagreements:
-        dump = Path(args.dump_dir)
-        dump.mkdir(parents=True, exist_ok=True)
-        for i, t in enumerate(disagreements):
-            (dump / f"disagreement_{i:04d}.edges").write_text(serialize(t))
-    summary = {
-        "trees": total,
-        "diametrical": diametrical,
-        "agreements": agreements,
-        "disagreements": total - agreements,
-    }
-    _emit(json.dumps(summary, indent=2), cfg.output)
-    return EXIT_MISMATCH if disagreements else EXIT_OK
+    budget = budget_from_args(args)
+    trees = sweeps.classification_corpus(
+        args.max_n, args.random, args.random_min, args.random_max, args.seed
+    )
+    checks = [sweeps.check_tree(t, budget) for t in trees]
+    if args.dump_dir:
+        sweeps.dump_disagreements(checks, Path(args.dump_dir))
+    summary = sweeps.summarize(checks)
+    _emit(json.dumps(summary, indent=2), args.output)
+    return EXIT_MISMATCH if summary["disagreements"] else EXIT_OK
 
 
 # --- generate ----------------------------------------------------------------

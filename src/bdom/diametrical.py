@@ -53,13 +53,11 @@ PAIR_MIN_GAP = {
 }
 END_MIN_GAP = {"A": 2, "B": 2, "C": 1}
 
-NOT_TREE = "NotTree"
 SINGLE_VERTEX = "SingleVertex"
 LIMB_TOO_DEEP = "LimbTooDeep"
 ILLEGAL_LIMB_SHAPE = "IllegalLimbShape"
 TOO_MANY_LIMBS = "TooManyLimbs"
 SPACING_VIOLATION = "SpacingViolation"
-PARITY_CERTIFICATE = "ParityCertificate"
 
 
 def _pair_gap(k1: str, k2: str) -> int:

@@ -2,10 +2,11 @@
 
 Every function is exact integer arithmetic with explicit parity dispatch.
 Parameter domains are enforced, never extrapolated: asking for a value the
-source statement does not cover raises rather than guessing.  Each evaluator
-has a citation tag so reports can say where a number came from; the exact
-solvers exist precisely to cross-check these values, and the verification
-sweep treats any disagreement as a hard mismatch.
+source statement does not cover raises rather than guessing.  `evaluate`
+dispatches from one table whose rows carry a citation tag, so reports can
+say where a number came from; the exact solvers exist precisely to
+cross-check these values, and the verification sweep treats any
+disagreement as a hard mismatch.
 """
 
 from __future__ import annotations
@@ -17,9 +18,21 @@ from .errors import CapabilityError, InputError
 
 @dataclass(frozen=True)
 class FormulaResult:
+    invariant: str
     value: int
     source: str
     applicability: str
+
+    def to_json_dict(self) -> dict:
+        return {
+            "invariant": self.invariant,
+            "value": self.value,
+            "method": "closed_form",
+            "source": self.source,
+            "applicability": self.applicability,
+            "witness": None,
+            "nodes": 0,
+        }
 
 
 def upper_gamma_c3_torus(n: int) -> int:
@@ -125,68 +138,35 @@ def torus_diameter(m: int, n: int) -> int:
     return m // 2 + n // 2
 
 
-_SOURCES = {
-    upper_gamma_c3_torus: "upper-domination:3-row-torus",
-    upper_gamma_torus: "upper-domination:torus-parity-cases",
-    upper_gamma_b_cycle: "upper-broadcast:cycle",
-    upper_gamma_b_torus: "upper-broadcast:torus-row-product",
-    gamma_torus_small: "domination:torus-klavzar-seifter-1995",
-    gamma_b_torus_cited: "broadcast-domination:torus-koh-soh",
-    cycle_is_diametrical: "diametrical:cycles-3-4-5",
-    torus_is_diametrical: "diametrical:tori-never",
-    grid_is_diametrical: "diametrical:grids-paths-and-2x2",
-    torus_diameter: "torus-diameter",
+# (family, invariant) -> (evaluator, citation tag, parameter domain).  Cycle
+# evaluators take n, the others (m, n); verdicts are reported as 0 or 1.
+_FORMULAS = {
+    ("cycle", "Gamma_b"): (upper_gamma_b_cycle, "upper-broadcast:cycle", "n >= 3"),
+    ("cycle", "diametrical"): (cycle_is_diametrical, "diametrical:cycles-3-4-5", "n >= 3"),
+    ("torus", "Gamma"): (upper_gamma_torus, "upper-domination:torus-parity-cases", "m, n >= 3"),
+    ("torus", "Gamma_b"): (
+        upper_gamma_b_torus, "upper-broadcast:torus-row-product", "3 <= m <= n"
+    ),
+    ("torus", "gamma"): (
+        gamma_torus_small,
+        "domination:torus-klavzar-seifter-1995",
+        "m in {3,4,5}, n >= 4, m=5 excludes n=5k+3",
+    ),
+    ("torus", "gamma_b"): (gamma_b_torus_cited, "broadcast-domination:torus-koh-soh", "m, n >= 3"),
+    ("torus", "diametrical"): (torus_is_diametrical, "diametrical:tori-never", "m, n >= 3"),
+    ("grid", "diametrical"): (
+        grid_is_diametrical, "diametrical:grids-paths-and-2x2", "1 <= m <= n"
+    ),
 }
 
 
 def evaluate(family: str, invariant: str, m: int | None, n: int) -> FormulaResult:
     """Closed-form dispatch used by the CLI; raises InputError when no
     published formula covers the (family, invariant) pair."""
-    if family == "cycle":
-        if invariant == "Gamma_b":
-            return FormulaResult(
-                upper_gamma_b_cycle(n), _SOURCES[upper_gamma_b_cycle], "n >= 3"
-            )
-        if invariant == "diametrical":
-            return FormulaResult(
-                int(cycle_is_diametrical(n)), _SOURCES[cycle_is_diametrical], "n >= 3"
-            )
-    elif family == "torus":
-        assert m is not None
-        if invariant == "Gamma":
-            return FormulaResult(
-                upper_gamma_torus(m, n), _SOURCES[upper_gamma_torus], "m, n >= 3"
-            )
-        if invariant == "Gamma_b":
-            return FormulaResult(
-                upper_gamma_b_torus(m, n),
-                _SOURCES[upper_gamma_b_torus],
-                "3 <= m <= n",
-            )
-        if invariant == "gamma":
-            return FormulaResult(
-                gamma_torus_small(m, n),
-                _SOURCES[gamma_torus_small],
-                "m in {3,4,5}, n >= 4, m=5 excludes n=5k+3",
-            )
-        if invariant == "gamma_b":
-            return FormulaResult(
-                gamma_b_torus_cited(m, n), _SOURCES[gamma_b_torus_cited], "m, n >= 3"
-            )
-        if invariant == "diametrical":
-            return FormulaResult(
-                int(torus_is_diametrical(m, n)),
-                _SOURCES[torus_is_diametrical],
-                "m, n >= 3",
-            )
-    elif family == "grid":
-        assert m is not None
-        if invariant == "diametrical":
-            return FormulaResult(
-                int(grid_is_diametrical(m, n)),
-                _SOURCES[grid_is_diametrical],
-                "1 <= m <= n",
-            )
-    raise InputError(
-        f"no closed form for invariant {invariant!r} on family {family!r}"
-    )
+    if (family, invariant) not in _FORMULAS:
+        raise InputError(
+            f"no closed form for invariant {invariant!r} on family {family!r}"
+        )
+    fn, source, applicability = _FORMULAS[family, invariant]
+    value = fn(n) if family == "cycle" else fn(m, n)
+    return FormulaResult(invariant, int(value), source, applicability)

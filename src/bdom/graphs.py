@@ -29,9 +29,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
@@ -252,4 +249,6 @@ def graph_from_json(text: str) -> Graph:
         edges = [(int(u), int(v)) for u, v in obj["edges"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad graph JSON: {exc}") from None
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"bad graph JSON: vertex count must be an integer, got {n!r}")
     return build_graph(n, edges)

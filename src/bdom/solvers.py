@@ -4,28 +4,25 @@ Set invariants (gamma, Gamma) come from a vectorized sweep over all 2^n
 vertex subsets with bitmask domination and private-neighbor tests; this is
 exact and practical up to the configured vertex cap.
 
-Broadcast invariants (gamma_b, Gamma_b) come from a depth-first search over
-strength vectors in lexicographic order.  Three prunings keep it exact:
+Broadcast invariants (gamma_b, Gamma_b) come from one depth-first search over
+strength vectors in lexicographic order.  It reports every minimal dominating
+broadcast whose cost lies in a window [lo, hi], which the caller may narrow
+as results come in, and it cuts a subtree when
 
-* a partial support is abandoned once some broadcaster can no longer gain a
-  private neighbor at the required distance (hearer sets only grow, so the
-  test is monotone and never cuts a completable branch);
-* vertices that no later vertex could reach at maximal strength must already
-  be heard (domination is impossible otherwise);
-* the total cost of any minimal dominating broadcast never exceeds the edge
-  count, so branches beyond that are dead.
+* some broadcaster can no longer gain a private neighbor at the required
+  distance (hearer sets only grow, so the test is monotone and never cuts a
+  completable branch);
+* some vertex that no later vertex can reach is still unheard;
+* the window is empty, or full strength on every later vertex cannot lift
+  the cost to lo;
+* hearing the unheard set U cannot fit under hi: with rho = max |ball(v, s)|
+  / s over all vertices v and strengths 1 <= s <= ecc(v), a broadcaster of
+  strength s hears at most rho * s vertices, so U costs at least |U| / rho.
 
-The maximum-cost search additionally carries an incumbent initialized to the
-diameter (a peripheral vertex broadcasting at full eccentricity is always a
-minimal dominating broadcast); because the enumeration order is lexicographic,
-the first witness recorded at the final value is the lexicographically
-smallest optimal witness.
-
-The minimum-cost search and the enumeration, which have no incumbent, add a
-coverage bound instead.  With rho = max |ball(v, s)| / s over all vertices v
-and strengths 1 <= s <= ecc(v), a broadcaster of strength s hears at most
-rho * s vertices, so hearing the unheard set U costs at least |U| / rho, and a
-branch with cost + |U| / rho above the cost bound has no completion.
+No minimal dominating broadcast costs more than the edge count, which caps
+hi.  The callers differ only in their windows, and since the order is
+lexicographic, each witness they report is the lexicographically smallest
+optimum.
 """
 
 from __future__ import annotations
@@ -68,11 +65,10 @@ class InvariantReport:
 
     invariant: str  # gamma | Gamma | gamma_b | Gamma_b
     value: int
-    method: str  # exact | closed_form
+    method: str  # exact
     witness_set: tuple[int, ...] | None = None
     witness_broadcast: Broadcast | None = None
     nodes: int = 0
-    source: str | None = None  # citation tag, closed-form reports only
 
     def witness_json(self):
         if self.witness_set is not None:
@@ -82,16 +78,13 @@ class InvariantReport:
         return None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "invariant": self.invariant,
             "value": self.value,
             "method": self.method,
             "witness": self.witness_json(),
             "nodes": self.nodes,
         }
-        if self.source is not None:
-            out["source"] = self.source
-        return out
 
 
 def _require_connected(g: Graph) -> None:
@@ -206,10 +199,6 @@ def solve_upper_gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Invari
 # --- minimal dominating BROADCAST search ------------------------------------
 
 
-class _StopSearch(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class _SearchContext:
     n: int
@@ -278,23 +267,18 @@ class _Nodes:
 
 def _search_minimal_broadcasts(
     ctx: _SearchContext,
-    cost_bound: int,
+    window: list[int],
     nodes: _Nodes,
     on_found: Callable[[int, tuple[int, ...]], None],
-    incumbent: list | None = None,
 ) -> None:
     """DFS over strength vectors in lexicographic order.
 
-    Calls on_found(cost, strengths) for every minimal dominating broadcast of
-    cost <= cost_bound that survives incumbent pruning.  `incumbent`, when
-    given, is a mutable [floor, have_witness] pair: subtrees that cannot beat
-    the floor (or merely tie it once a witness exists) are skipped, which is
-    sound for a maximum search because the bound never underestimates a
-    subtree's best completion.  Without an incumbent, subtrees whose unheard
-    vertices cannot be covered within the cost bound are skipped instead.
+    Calls on_found(cost, strengths) for every minimal dominating broadcast
+    whose cost lies in the window [lo, hi] = `window`, with hi at most the
+    edge count.  on_found may narrow the window by raising lo; raising it
+    past hi closes the window and ends the search.
     """
     n = ctx.n
-    cap = min(cost_bound, ctx.edge_count)
     strengths = [0] * n
     support: list[int] = []  # private-neighbor spots of the broadcasters so far
     ball = ctx.ball
@@ -303,8 +287,6 @@ def _search_minimal_broadcasts(
     suffix_cover = ctx.suffix_cover
     suffix_strength = ctx.suffix_strength
     cover_num, cover_den = ctx.cover_ratio
-    bound_cover = incumbent is None
-    floor = (0, False) if incumbent is None else incumbent
     count = nodes.count
     node_cap = nodes.cap
 
@@ -319,26 +301,24 @@ def _search_minimal_broadcasts(
             if unheard == 0:
                 on_found(total, tuple(strengths))
             return
-        if bound_cover and unheard.bit_count() * cover_den > cover_num * (cap - total):
+        lo, hi = window
+        if hi < lo or unheard.bit_count() * cover_den > cover_num * (hi - total):
             return
-        # the optimistic bound min(total + s + rest, cap) must reach `need`;
-        # it rises with s, so only strengths from `first` on can pass
-        need = floor[0] + floor[1]
-        if cap < need:
-            return
+        # the optimistic bound total + s + rest must reach lo; it rises with
+        # s, so only strengths from `first` on can pass
         rest = suffix_strength[i + 1]
-        first = need - rest - total
+        first = lo - rest - total
         outside = ~suffix_cover[i + 1]  # vertices no later broadcaster can reach
         # strength 0 first: lexicographic order over full vectors
         if first <= 0 and unheard & outside == 0:
             rec(i + 1, total, unheard, exactly_one)
-            need = floor[0] + floor[1]
-            if cap < need:
+            lo = window[0]
+            if hi < lo:
                 return
-            first = need - rest - total
+            first = lo - rest - total
         balls = ball[i]
         cands = cand[i]
-        top = cap - total
+        top = hi - total
         if top > ecc[i]:
             top = ecc[i]
         for s in range(first if first > 1 else 1, top + 1):
@@ -371,10 +351,10 @@ def _search_minimal_broadcasts(
             rec(i + 1, total + s, new_unheard, new_exactly_one)
             support.pop()
             strengths[i] = 0
-            need = floor[0] + floor[1]
-            if cap < need:
+            lo = window[0]
+            if hi < lo:
                 return
-            first = need - rest - total
+            first = lo - rest - total
 
     try:
         rec(0, 0, (1 << n) - 1, 0)
@@ -382,9 +362,15 @@ def _search_minimal_broadcasts(
         nodes.count = count
 
 
-def _space_estimate(ctx: _SearchContext) -> str:
-    logsize = sum(math.log10(e + 1) for e in ctx.ecc)
-    return f"~10^{logsize:.0f} strength vectors"
+def _search(ctx: _SearchContext, window: list[int], nodes: _Nodes, on_found) -> None:
+    """Run the search; a budget error also reports the size of the space."""
+    try:
+        _search_minimal_broadcasts(ctx, window, nodes, on_found)
+    except CapabilityError as exc:
+        logsize = sum(math.log10(e + 1) for e in ctx.ecc)
+        raise CapabilityError(
+            f"{exc}; search space ~10^{logsize:.0f} strength vectors"
+        ) from None
 
 
 def enumerate_minimal_broadcasts(
@@ -400,89 +386,73 @@ def enumerate_minimal_broadcasts(
     if cost_bound < 0:
         raise InputError("cost bound must be non-negative")
     ctx = _search_context(g)
-    nodes = _Nodes(budget.broadcast_node_cap)
     found: list[Broadcast] = []
-
-    def on_found(_c, vec):
-        found.append(Broadcast(vec))
-
-    try:
-        _search_minimal_broadcasts(ctx, cost_bound, nodes, on_found)
-    except CapabilityError as exc:
-        raise CapabilityError(f"{exc}; search space {_space_estimate(ctx)}") from None
+    _search(
+        ctx,
+        [0, min(cost_bound, ctx.edge_count)],
+        _Nodes(budget.broadcast_node_cap),
+        lambda _c, vec: found.append(Broadcast(vec)),
+    )
     return iter(found)
+
+
+def _broadcast_search(g: Graph, budget: SolverBudget) -> tuple[_SearchContext, _Nodes]:
+    _require_connected(g)
+    if g.n == 1:
+        raise InputError("a single vertex admits no dominating broadcast")
+    return _search_context(g), _Nodes(budget.broadcast_node_cap)
+
+
+def _broadcast_report(
+    g: Graph, invariant: str, value: int, vec: tuple[int, ...], nodes: _Nodes
+) -> InvariantReport:
+    witness = Broadcast(vec)
+    _check_witness(
+        invariant, is_minimal_dominating_broadcast(g, witness) and cost(witness) == value
+    )
+    return InvariantReport(
+        invariant, value, "exact", witness_broadcast=witness, nodes=nodes.count
+    )
 
 
 def solve_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
     """Minimum cost of a minimal dominating broadcast.
 
-    Iterative deepening on the cost bound; the first broadcast the
-    lexicographic search finds under the first feasible bound is the
-    lexicographically smallest optimal witness.
+    Iterative deepening on the window's upper end, with one node budget for
+    all rounds; the first broadcast the lexicographic search finds under the
+    first feasible bound is the lexicographically smallest optimal witness,
+    and closes the window.
     """
-    _require_connected(g)
-    if g.n == 1:
-        raise InputError("a single vertex admits no dominating broadcast")
-    ctx = _search_context(g)
-    nodes = _Nodes(budget.broadcast_node_cap)
-    best: list = []
+    ctx, nodes = _broadcast_search(g, budget)
+    window = [0, 0]
+    found: list = []
 
     def on_found(c, vec):
-        best.append((c, vec))
-        raise _StopSearch
+        found.append((c, vec))
+        window[0] = window[1] + 1
 
-    radius = metrics(g).radius
-    for bound in range(1, radius + 1):
-        try:
-            _search_minimal_broadcasts(ctx, bound, nodes, on_found)
-        except _StopSearch:
+    for hi in range(1, metrics(g).radius + 1):
+        window[:] = [0, hi]
+        _search(ctx, window, nodes, on_found)
+        if found:
             break
-        except CapabilityError as exc:
-            raise CapabilityError(
-                f"{exc}; search space {_space_estimate(ctx)}"
-            ) from None
-    value, vec = best[0]
-    witness = Broadcast(vec)
-    _check_witness(
-        "gamma_b", is_minimal_dominating_broadcast(g, witness) and cost(witness) == value
-    )
-    return InvariantReport(
-        "gamma_b", value, "exact", witness_broadcast=witness, nodes=nodes.count
-    )
+    return _broadcast_report(g, "gamma_b", *found[0], nodes)
 
 
 def solve_upper_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
-    """Maximum cost of a minimal dominating broadcast."""
-    _require_connected(g)
-    if g.n == 1:
-        raise InputError("a single vertex admits no dominating broadcast")
-    ctx = _search_context(g)
-    nodes = _Nodes(budget.broadcast_node_cap)
-    # a peripheral broadcast at full strength always attains the diameter,
-    # so the incumbent can start there without a witness in hand
-    incumbent = [ctx.diameter, False]
-    best: list = [None]
+    """Maximum cost of a minimal dominating broadcast.
+
+    The window starts at [diam, |E|], because a peripheral vertex
+    broadcasting at full eccentricity attains the diameter, and each find
+    raises lo past its cost.
+    """
+    ctx, nodes = _broadcast_search(g, budget)
+    window = [ctx.diameter, ctx.edge_count]
+    found: list = []
 
     def on_found(c, vec):
-        if c > incumbent[0]:
-            incumbent[0] = c
-            incumbent[1] = True
-            best[0] = vec
-        elif c == incumbent[0] and not incumbent[1]:
-            incumbent[1] = True
-            best[0] = vec
+        found.append((c, vec))
+        window[0] = c + 1
 
-    try:
-        _search_minimal_broadcasts(
-            ctx, ctx.edge_count, nodes, on_found, incumbent=incumbent
-        )
-    except CapabilityError as exc:
-        raise CapabilityError(f"{exc}; search space {_space_estimate(ctx)}") from None
-    value = incumbent[0]
-    witness = Broadcast(best[0])
-    _check_witness(
-        "Gamma_b", is_minimal_dominating_broadcast(g, witness) and cost(witness) == value
-    )
-    return InvariantReport(
-        "Gamma_b", value, "exact", witness_broadcast=witness, nodes=nodes.count
-    )
+    _search(ctx, window, nodes, on_found)
+    return _broadcast_report(g, "Gamma_b", *found[-1], nodes)

@@ -60,7 +60,8 @@ from bdom.solvers import (
     solve_upper_gamma,
     solve_upper_gamma_b,
 )
-from bdom.trees import canonical_form, enumerate_trees, is_tree, random_tree
+from bdom.sweeps import check_tree, classification_corpus
+from bdom.trees import canonical_form, enumerate_trees, is_tree
 
 FIG_GRAPH = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
 RING_WITH_LEAVES = build_graph(
@@ -79,13 +80,12 @@ def _report(criterion, ok, detail):
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def _classification_corpus():
-    """Exhaustive trees up to 9 vertices plus 200 seeded random 10..14 trees."""
-    trees = list(enumerate_trees(9))
-    rng = random.Random(0)
-    for _ in range(200):
-        trees.append(random_tree(rng.randrange(10, 15), rng))
-    return trees
+@functools.lru_cache(maxsize=None)
+def _corpus_checks():
+    """The sweep engine's check of every tree in the classification corpus
+    (all trees up to 9 vertices plus 200 seeded random 10..14 trees), shared
+    by criterion 6 (verdicts) and criterion 8 (Gamma_b values)."""
+    return tuple(check_tree(t) for t in classification_corpus())
 
 
 def _columns(m, n, cols):
@@ -264,12 +264,14 @@ def test_criterion_5_cited_formulas():
 
 def test_criterion_6_classifier_against_oracle():
     started = time.monotonic()
-    trees = _classification_corpus()
+    checks = _corpus_checks()
     failures = []
     accepted_non_diametrical = []
     rejected_diametrical = []
-    for t in trees:
-        verdict = classify_tree(t)
+    for check in checks:
+        t, verdict, report = check.tree, check.verdict, check.report
+        if verdict != classify_tree(t):
+            failures.append(("verdict", t.edges()))
         if verdict.diametrical:
             dec = verdict.witness
             legal = (witness_matches(t, dec) and 2 * len(dec.limbs) < dec.diameter()
@@ -281,11 +283,12 @@ def test_criterion_6_classifier_against_oracle():
         # the oracle's verdict, with the broadcast that decides it checked by
         # the predicate layer: a non-diametrical tree shows one beating diam
         d = metrics(t).diameter
-        report = _upper_gamma_b(t)
         w = report.witness_broadcast
         if cost(w) != report.value or report.value < d or not is_minimal_dominating_broadcast(t, w):
             failures.append(("oracle witness", t.edges(), w.strengths))
         exact = report.value == d
+        if check.exact != exact:
+            failures.append(("check_tree verdict", t.edges()))
         if verdict.diametrical == exact:
             continue
         if is_diametrical_exact(t) != exact:
@@ -302,7 +305,7 @@ def test_criterion_6_classifier_against_oracle():
     disagreements = len(accepted_non_diametrical) + len(rejected_diametrical)
     ok = (not failures and sorted(accepted_non_diametrical) == RULE_ACCEPTS_NON_DIAMETRICAL
           and rejected_diametrical == RULE_REJECTS_DIAMETRICAL and elapsed < 900)
-    _report(6, ok, f"{len(trees)} trees, {disagreements} disagreements certified by "
+    _report(6, ok, f"{len(checks)} trees, {disagreements} disagreements certified by "
                    f"verified witnesses, {elapsed:.1f}s")
     assert elapsed < 900
     assert not failures, failures
@@ -412,13 +415,14 @@ def test_criterion_8_structural_property_suites():
     corpus = (
         [gen_cycle(n) for n in range(3, 13)]
         + [gen_torus(m, n) for m, n in [(3, 3), (3, 4), (4, 4)]]
-        + [t for t in _classification_corpus() if t.n >= 2]
         + [FIG_GRAPH, RING_WITH_LEAVES, gen_grid(2, 2), gen_star(3),
            gen_lobster(LobsterSpec(6, ((1, "C"), (3, "C"), (5, "C"))))]
     )
+    solved = [(g, _upper_gamma_b(g).value) for g in corpus] + [
+        (c.tree, c.report.value) for c in _corpus_checks() if c.report is not None
+    ]
     edge_bound_failures = []
-    for g in corpus:
-        value = _upper_gamma_b(g).value
+    for g, value in solved:
         tight = value == g.edge_count()
         if value > g.edge_count() or tight != (_is_path_graph(g) or _is_star_graph(g)):
             edge_bound_failures.append((g.n, g.edges()))

@@ -246,3 +246,16 @@ def test_subset_cap_above_mask_width_is_refused(capsys):
         capsys, "invariant", "--family", "path:33", "--which", "gamma", "--subset-cap", "40",
     )
     assert code == EXIT_INPUT and "--subset-cap" in err and out == ""
+
+
+def test_budget_env_var_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("BD_BUDGET_NODES", "abc")
+    code, out, err = run(capsys, "invariant", "--family", "cycle:5", "--which", "Gamma_b")
+    assert code == EXIT_INPUT and "BD_BUDGET_NODES" in err and out == ""
+
+
+def test_graph_json_fractional_vertex_count(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 2.5, "edges": [[0, 1]]}')
+    code, out, err = run(capsys, "invariant", "--graph", str(path), "--which", "gamma")
+    assert code == EXIT_INPUT and "vertex count" in err and out == ""
