@@ -33,7 +33,7 @@ from .graphs import (
     parse_edge_list,
     serialize,
 )
-from .solvers import MAX_SUBSET_VERTEX_CAP, SolverBudget
+from .solvers import SolverBudget
 from .sweeps import INVARIANT_SOLVERS
 
 EXIT_OK = 0
@@ -44,8 +44,7 @@ EXIT_MISMATCH = 3
 BUDGET_ENV_VAR = "BD_BUDGET_NODES"
 
 def budget_from_args(args) -> SolverBudget:
-    """The solver budget from --budget-nodes (else the environment) and
-    --subset-cap."""
+    """The solver budget from --budget-nodes, else the environment."""
     nodes = args.budget_nodes
     if nodes is None:
         env = os.environ.get(BUDGET_ENV_VAR)
@@ -53,14 +52,7 @@ def budget_from_args(args) -> SolverBudget:
             nodes = int(env) if env else SolverBudget().broadcast_node_cap
         except ValueError:
             raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    subset_cap = args.subset_cap
-    if subset_cap is None:
-        subset_cap = SolverBudget().subset_vertex_cap
-    elif not 1 <= subset_cap <= MAX_SUBSET_VERTEX_CAP:
-        raise InputError(
-            f"--subset-cap must be between 1 and {MAX_SUBSET_VERTEX_CAP}, got {subset_cap}"
-        )
-    return SolverBudget(subset_vertex_cap=subset_cap, broadcast_node_cap=nodes)
+    return SolverBudget(broadcast_node_cap=nodes)
 
 
 def parse_family(spec: str) -> tuple[str, int | None, int, Graph]:
@@ -256,10 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget_opts(p):
         p.add_argument("--budget-nodes", type=int, default=None,
-                       help=f"broadcast-search node cap (env {BUDGET_ENV_VAR})")
-        p.add_argument("--subset-cap", type=int, default=None,
-                       help="vertex cap for subset-sweep solvers, 1 to "
-                            f"{MAX_SUBSET_VERTEX_CAP} (default 25)")
+                       help=f"search node cap (env {BUDGET_ENV_VAR})")
 
     p = sub.add_parser("invariant", help="compute one invariant of one graph")
     p.add_argument("--family", help="family spec, e.g. torus:3,4 or cycle:8")

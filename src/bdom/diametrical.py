@@ -75,7 +75,7 @@ class Violation:
     """Why a tree (or one longest path of it) fails the classification."""
 
     kind: str
-    at: int | None = None  # spine position, or certificate root
+    at: int | None = None  # spine position
     pair: tuple[str, str] | None = None
     required: int | None = None
     actual: int | None = None
@@ -316,7 +316,7 @@ def witness_matches(t: Graph, dec: LimbDecomposition) -> bool:
     return canonical_form(reconstruct_witness(dec)) == canonical_form(t)
 
 
-def parity_certificate(g: Graph, budget: SolverBudget = DEFAULT_BUDGET):
+def parity_certificate(g: Graph):
     """Search all roots for a breadth-first odd-parity certificate.
 
     Returns (root, count) for the first root whose odd-depth class, taken as

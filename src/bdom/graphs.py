@@ -242,13 +242,20 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
         n = obj["n"]
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
+        edges = [(u, v) for u, v in obj["edges"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad graph JSON: {exc}") from None
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise InputError(f"bad graph JSON: vertex count must be an integer, got {n!r}")
+    for u, v in edges:
+        if not (_is_int(u) and _is_int(v)):
+            raise InputError(f"bad graph JSON: edge endpoints must be integers, got {[u, v]!r}")
     return build_graph(n, edges)

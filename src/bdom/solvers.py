@@ -1,13 +1,13 @@
 """Exact solvers for the four domination invariants, with witnesses.
 
-Set invariants (gamma, Gamma) come from a vectorized sweep over all 2^n
-vertex subsets with bitmask domination and private-neighbor tests; this is
-exact and practical up to the configured vertex cap.
-
-Broadcast invariants (gamma_b, Gamma_b) come from one depth-first search over
-strength vectors in lexicographic order.  It reports every minimal dominating
-broadcast whose cost lies in a window [lo, hi], which the caller may narrow
-as results come in, and it cuts a subtree when
+All four come from one depth-first search over strength vectors in
+lexicographic order.  A minimal dominating set is a minimal dominating
+broadcast whose strengths are all 0 or 1: strength 1 at v hears N[v], and
+v's private neighbor may be v itself.  So the set invariants (gamma, Gamma)
+search strengths capped at 1, and the broadcast invariants (gamma_b,
+Gamma_b) strengths capped at the eccentricity.  The search reports every
+minimal dominating vector whose cost lies in a window [lo, hi], which the
+caller may narrow as results come in, and it cuts a subtree when
 
 * some broadcaster can no longer gain a private neighbor at the required
   distance (hearer sets only grow, so the test is monotone and never cuts a
@@ -16,13 +16,12 @@ as results come in, and it cuts a subtree when
 * the window is empty, or full strength on every later vertex cannot lift
   the cost to lo;
 * hearing the unheard set U cannot fit under hi: with rho = max |ball(v, s)|
-  / s over all vertices v and strengths 1 <= s <= ecc(v), a broadcaster of
+  / s over all vertices v and searched strengths s >= 1, a broadcaster of
   strength s hears at most rho * s vertices, so U costs at least |U| / rho.
 
 No minimal dominating broadcast costs more than the edge count, which caps
-hi.  The callers differ only in their windows, and since the order is
-lexicographic, each witness they report is the lexicographically smallest
-optimum.
+hi.  The callers differ only in their windows and in which optimum they keep:
+each witness is the lexicographically smallest optimal broadcast or set.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
-
-import numpy as np
 
 from .broadcasts import (
     Broadcast,
@@ -43,17 +40,12 @@ from .broadcasts import (
 from .errors import CapabilityError, InputError
 from .graphs import Graph, metrics
 
-DEFAULT_SUBSET_VERTEX_CAP = 25
-MAX_SUBSET_VERTEX_CAP = 32  # the sweep's subset masks are uint32
 DEFAULT_BROADCAST_NODE_CAP = 50_000_000
-
-_CHUNK_BITS = 20  # subsets are swept in chunks of 2^20
 
 
 @dataclass(frozen=True)
 class SolverBudget:
-    subset_vertex_cap: int = DEFAULT_SUBSET_VERTEX_CAP
-    broadcast_node_cap: int = DEFAULT_BROADCAST_NODE_CAP
+    broadcast_node_cap: int = DEFAULT_BROADCAST_NODE_CAP  # search nodes, for all four solvers
 
 
 DEFAULT_BUDGET = SolverBudget()
@@ -102,128 +94,36 @@ def _check_witness(invariant: str, ok: bool) -> None:
         raise AssertionError(f"{invariant} witness rejected by the predicate layer")
 
 
-# --- minimal dominating SET sweep -------------------------------------------
-
-
-def _reverse_bits(x, n):
-    """Bit-reversal within n low bits (vectorized on uint32)."""
-    x = ((x & np.uint32(0x55555555)) << np.uint32(1)) | (
-        (x >> np.uint32(1)) & np.uint32(0x55555555)
-    )
-    x = ((x & np.uint32(0x33333333)) << np.uint32(2)) | (
-        (x >> np.uint32(2)) & np.uint32(0x33333333)
-    )
-    x = ((x & np.uint32(0x0F0F0F0F)) << np.uint32(4)) | (
-        (x >> np.uint32(4)) & np.uint32(0x0F0F0F0F)
-    )
-    x = ((x & np.uint32(0x00FF00FF)) << np.uint32(8)) | (
-        (x >> np.uint32(8)) & np.uint32(0x00FF00FF)
-    )
-    x = (x << np.uint32(16)) | (x >> np.uint32(16))
-    return x >> np.uint32(32 - n)
-
-
-@lru_cache(maxsize=32)
-def _minimal_set_sweep(g: Graph, cap: int):
-    """Scan all subsets; return (gamma, gamma_witness, Gamma, Gamma_witness, nodes).
-
-    Witnesses are the lexicographically smallest optimal sets; on equal size,
-    the set containing the smallest vertices first wins, which equals taking
-    the maximal bit-reversed mask.
-    """
-    n = g.n
-    cap = min(cap, MAX_SUBSET_VERTEX_CAP)
-    if n > cap:
-        raise CapabilityError(
-            f"subset search capped at {cap} vertices, graph has {n}"
-        )
-    _require_connected(g)
-    closed = [
-        np.uint32((1 << v) | sum(1 << w for w in g.adjacency[v])) for v in range(n)
-    ]
-    gamma_val = Gamma_val = None
-    gamma_rev = Gamma_rev = -1
-    total = 1 << n
-    step = 1 << _CHUNK_BITS
-    for lo in range(0, total, step):
-        S = np.arange(lo, min(lo + step, total), dtype=np.uint32)
-        minimal = np.ones(S.shape, dtype=bool)
-        for u in range(n):
-            minimal &= (S & closed[u]) != 0
-        for v in range(n):
-            bit = np.uint32(1 << v)
-            has_private = np.zeros(S.shape, dtype=bool)
-            for w in (v, *g.adjacency[v]):
-                has_private |= (S & closed[w]) == bit
-            minimal &= ((S & bit) == 0) | has_private
-        masks = S[minimal]
-        if masks.size == 0:
-            continue
-        sizes = np.bitwise_count(masks)
-        for target, keep_smaller in ((int(sizes.min()), True), (int(sizes.max()), False)):
-            best, best_rev = (gamma_val, gamma_rev) if keep_smaller else (Gamma_val, Gamma_rev)
-            better = best is None or (target < best if keep_smaller else target > best)
-            if better:
-                best, best_rev = target, -1
-            if target == best:
-                rev = int(_reverse_bits(masks[sizes == target], n).max())
-                best_rev = max(best_rev, rev)
-            if keep_smaller:
-                gamma_val, gamma_rev = best, best_rev
-            else:
-                Gamma_val, Gamma_rev = best, best_rev
-    if gamma_val is None:
-        raise InputError("graph admits no dominating set")  # unreachable for n >= 1
-
-    def decode(rev):
-        mask = int(_reverse_bits(np.uint32(rev), n))
-        return tuple(v for v in range(n) if mask >> v & 1)
-
-    return gamma_val, decode(gamma_rev), Gamma_val, decode(Gamma_rev), total
-
-
-def solve_gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
-    """Minimum size of a minimal dominating set, by exhaustive subset sweep."""
-    value, witness, _, _, nodes = _minimal_set_sweep(g, budget.subset_vertex_cap)
-    _check_witness("gamma", is_minimal_dominating_set(g, witness) and len(witness) == value)
-    return InvariantReport("gamma", value, "exact", witness_set=witness, nodes=nodes)
-
-
-def solve_upper_gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
-    """Maximum size of a minimal dominating set, by exhaustive subset sweep."""
-    _, _, value, witness, nodes = _minimal_set_sweep(g, budget.subset_vertex_cap)
-    _check_witness("Gamma", is_minimal_dominating_set(g, witness) and len(witness) == value)
-    return InvariantReport("Gamma", value, "exact", witness_set=witness, nodes=nodes)
-
-
-# --- minimal dominating BROADCAST search ------------------------------------
-
-
 @dataclass(frozen=True)
 class _SearchContext:
     n: int
     edge_count: int
-    diameter: int
-    ecc: tuple[int, ...]
+    caps: tuple[int, ...]  # caps[v]: the largest strength searched at v
     ball: tuple[tuple[int, ...], ...]  # ball[v][s]: vertices within distance s of v
     cand: tuple[tuple[int, ...], ...]  # cand[v][s]: allowed private-neighbor spots
-    suffix_cover: tuple[int, ...]  # union of maximal balls of vertices >= i
-    suffix_strength: tuple[int, ...]  # sum of eccentricities of vertices >= i
-    cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= ecc(v)
+    suffix_cover: tuple[int, ...]  # union of the balls of vertices >= i at their caps
+    suffix_strength: tuple[int, ...]  # sum of the caps of vertices >= i
+    cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= caps[v]
 
 
 @lru_cache(maxsize=256)
-def _search_context(g: Graph) -> _SearchContext:
+def _search_context(g: Graph, top: int) -> _SearchContext:
+    """Search tables for strengths up to min(ecc(v), top) at each vertex v.
+
+    top = 1 searches vertex sets, and top = n broadcasts.  A lone vertex, of
+    eccentricity 0, still forms the set {v}, so its cap is 1.
+    """
     m = metrics(g)
     n = g.n
     dist = m.dist
+    caps = tuple(min(max(e, 1), top) for e in m.ecc)
     ball = []
     cand = []
-    num, den = 0, 1  # largest |ball(v, s)| / s; a lone vertex hears nothing
+    num, den = 0, 1  # largest |ball(v, s)| / s
     for v in range(n):
         by_s = [1 << v]
         spheres = [1 << v]
-        for s in range(1, m.ecc[v] + 1):
+        for s in range(1, caps[v] + 1):
             sphere = sum(1 << u for u in range(n) if dist[v][u] == s)
             spheres.append(sphere)
             by_s.append(by_s[-1] | sphere)
@@ -242,13 +142,12 @@ def _search_context(g: Graph) -> _SearchContext:
     suffix_cover = [0] * (n + 1)
     suffix_strength = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
-        suffix_cover[v] = suffix_cover[v + 1] | ball[v][m.ecc[v]]
-        suffix_strength[v] = suffix_strength[v + 1] + m.ecc[v]
+        suffix_cover[v] = suffix_cover[v + 1] | ball[v][caps[v]]
+        suffix_strength[v] = suffix_strength[v + 1] + caps[v]
     return _SearchContext(
         n,
         g.edge_count(),
-        m.diameter,
-        m.ecc,
+        caps,
         tuple(ball),
         tuple(cand),
         tuple(suffix_cover),
@@ -283,7 +182,7 @@ def _search_minimal_broadcasts(
     support: list[int] = []  # private-neighbor spots of the broadcasters so far
     ball = ctx.ball
     cand = ctx.cand
-    ecc = ctx.ecc
+    caps = ctx.caps
     suffix_cover = ctx.suffix_cover
     suffix_strength = ctx.suffix_strength
     cover_num, cover_den = ctx.cover_ratio
@@ -319,8 +218,8 @@ def _search_minimal_broadcasts(
         balls = ball[i]
         cands = cand[i]
         top = hi - total
-        if top > ecc[i]:
-            top = ecc[i]
+        if top > caps[i]:
+            top = caps[i]
         for s in range(first if first > 1 else 1, top + 1):
             if s < first:
                 continue
@@ -367,7 +266,7 @@ def _search(ctx: _SearchContext, window: list[int], nodes: _Nodes, on_found) -> 
     try:
         _search_minimal_broadcasts(ctx, window, nodes, on_found)
     except CapabilityError as exc:
-        logsize = sum(math.log10(e + 1) for e in ctx.ecc)
+        logsize = sum(math.log10(c + 1) for c in ctx.caps)
         raise CapabilityError(
             f"{exc}; search space ~10^{logsize:.0f} strength vectors"
         ) from None
@@ -385,7 +284,7 @@ def enumerate_minimal_broadcasts(
     _require_connected(g)
     if cost_bound < 0:
         raise InputError("cost bound must be non-negative")
-    ctx = _search_context(g)
+    ctx = _search_context(g, g.n)
     found: list[Broadcast] = []
     _search(
         ctx,
@@ -396,16 +295,54 @@ def enumerate_minimal_broadcasts(
     return iter(found)
 
 
-def _broadcast_search(g: Graph, budget: SolverBudget) -> tuple[_SearchContext, _Nodes]:
-    _require_connected(g)
-    if g.n == 1:
-        raise InputError("a single vertex admits no dominating broadcast")
-    return _search_context(g), _Nodes(budget.broadcast_node_cap)
-
-
-def _broadcast_report(
-    g: Graph, invariant: str, value: int, vec: tuple[int, ...], nodes: _Nodes
+def _solve(
+    g: Graph, invariant: str, top: int, budget: SolverBudget, maximize: bool
 ) -> InvariantReport:
+    """The least or greatest cost of a minimal dominating vector with
+    strengths up to top (1: a set), and its lexicographically smallest witness.
+
+    The search runs in lexicographic vector order, so that witness is the
+    first optimal vector found for a broadcast and the last one for a set:
+    of two sets of equal size, the one holding the smaller first differing
+    vertex has the larger vector.  So a set search does not stop at its
+    first optimum.
+    """
+    _require_connected(g)
+    ctx = _search_context(g, top)
+    nodes = _Nodes(budget.broadcast_node_cap)
+    sets = top == 1
+    found: list = []
+    if maximize:
+        # a vertex of the largest cap at full strength dominates minimally
+        # (a peripheral vertex attains the diameter); a lone vertex has no
+        # edge but forms the set {v}
+        window = [max(ctx.caps), max(ctx.edge_count, 1)]
+
+        def on_found(c, vec):
+            found.append((c, vec))
+            window[0] = c if sets else c + 1
+
+        _search(ctx, window, nodes, on_found)
+    else:
+        # deepen hi until a round finds something, with one node budget for
+        # all rounds
+        window = [0, 0]
+
+        def on_found(c, vec):
+            found.append((c, vec))
+            if not sets:
+                window[0] = window[1] + 1
+
+        for hi in range(1, ctx.suffix_strength[0] + 1):
+            window[:] = [0, hi]
+            _search(ctx, window, nodes, on_found)
+            if found:
+                break
+    value, vec = found[-1]
+    if sets:
+        members = tuple(v for v, s in enumerate(vec) if s)
+        _check_witness(invariant, is_minimal_dominating_set(g, members) and len(members) == value)
+        return InvariantReport(invariant, value, "exact", witness_set=members, nodes=nodes.count)
     witness = Broadcast(vec)
     _check_witness(
         invariant, is_minimal_dominating_broadcast(g, witness) and cost(witness) == value
@@ -415,44 +352,28 @@ def _broadcast_report(
     )
 
 
+def _broadcast_top(g: Graph) -> int:
+    """The strength cap of a broadcast search: n, above every eccentricity."""
+    if g.n == 1:
+        raise InputError("a single vertex admits no dominating broadcast")
+    return g.n
+
+
+def solve_gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
+    """Minimum size of a minimal dominating set."""
+    return _solve(g, "gamma", 1, budget, maximize=False)
+
+
+def solve_upper_gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
+    """Maximum size of a minimal dominating set."""
+    return _solve(g, "Gamma", 1, budget, maximize=True)
+
+
 def solve_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
-    """Minimum cost of a minimal dominating broadcast.
-
-    Iterative deepening on the window's upper end, with one node budget for
-    all rounds; the first broadcast the lexicographic search finds under the
-    first feasible bound is the lexicographically smallest optimal witness,
-    and closes the window.
-    """
-    ctx, nodes = _broadcast_search(g, budget)
-    window = [0, 0]
-    found: list = []
-
-    def on_found(c, vec):
-        found.append((c, vec))
-        window[0] = window[1] + 1
-
-    for hi in range(1, metrics(g).radius + 1):
-        window[:] = [0, hi]
-        _search(ctx, window, nodes, on_found)
-        if found:
-            break
-    return _broadcast_report(g, "gamma_b", *found[0], nodes)
+    """Minimum cost of a minimal dominating broadcast."""
+    return _solve(g, "gamma_b", _broadcast_top(g), budget, maximize=False)
 
 
 def solve_upper_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
-    """Maximum cost of a minimal dominating broadcast.
-
-    The window starts at [diam, |E|], because a peripheral vertex
-    broadcasting at full eccentricity attains the diameter, and each find
-    raises lo past its cost.
-    """
-    ctx, nodes = _broadcast_search(g, budget)
-    window = [ctx.diameter, ctx.edge_count]
-    found: list = []
-
-    def on_found(c, vec):
-        found.append((c, vec))
-        window[0] = c + 1
-
-    _search(ctx, window, nodes, on_found)
-    return _broadcast_report(g, "Gamma_b", *found[-1], nodes)
+    """Maximum cost of a minimal dominating broadcast."""
+    return _solve(g, "Gamma_b", _broadcast_top(g), budget, maximize=True)

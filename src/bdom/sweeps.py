@@ -82,6 +82,8 @@ def classification_corpus(max_n: int = 9, count: int = 200, lo: int = 10,
                           hi: int = 14, seed: int = 0) -> list[Graph]:
     """Every tree with up to max_n vertices, then `count` seeded random trees
     with lo..hi vertices.  The defaults give the 295-tree acceptance corpus."""
+    if count > 0 and hi < lo:
+        raise InputError(f"random tree sizes {lo}..{hi}: the range is empty")
     trees = list(enumerate_trees(max_n))
     rng = random.Random(seed)
     for _ in range(count):

@@ -109,7 +109,7 @@ TORUS_UPPER_DOMINATION = {
     (5, 5): (10, 9, _rows(5, 5, (0, 2))),
 }
 # Tori small enough for the conftest oracle, which applies the predicate
-# layer to every vertex subset without the solver's vectorized sweep.
+# layer to every vertex subset without the solver's pruned search.
 BRUTE_FORCE_TORI = {(3, 3), (3, 4), (3, 5), (4, 4)}
 
 # Canonical forms of the corpus trees on which classify_tree and the exact
@@ -165,8 +165,8 @@ def test_criterion_2_torus_upper_domination():
         if report.value != exact:
             failures.append(("exact", m, n, report.value, exact))
         failures += _set_witness_failures(g, (m, n), exact, [report.witness_set, hand])
-        # optimality from outside the subset sweep where it is affordable;
-        # 5x5 rests on the sweep alone
+        # optimality from outside the solver's search where it is affordable;
+        # 5x5 rests on the search alone
         if (m, n) in BRUTE_FORCE_TORI:
             brute = max(map(len, brute_minimal_dominating_sets(g)))
             if brute != exact:

@@ -233,19 +233,17 @@ def test_generate_bad_family(capsys):
     assert code == EXIT_INPUT
 
 
-def test_subset_cap_zero_is_refused(capsys):
-    code, out, err = run(
-        capsys, "invariant", "--family", "path:5", "--which", "gamma", "--subset-cap", "0",
-    )
-    assert code == EXIT_INPUT and "--subset-cap" in err and out == ""
+def test_gamma_past_32_vertices(capsys):
+    code, out, _ = run(capsys, "invariant", "--family", "path:33", "--which", "gamma")
+    assert code == EXIT_OK and json.loads(out)["value"] == 11
 
 
-def test_subset_cap_above_mask_width_is_refused(capsys):
-    # the sweep's masks are uint32, so a cap of 40 would overflow on path:33
+def test_enumerate_check_empty_random_size_range(capsys):
     code, out, err = run(
-        capsys, "invariant", "--family", "path:33", "--which", "gamma", "--subset-cap", "40",
+        capsys, "enumerate-check", "--max-n", "3", "--random", "2",
+        "--random-min", "14", "--random-max", "10",
     )
-    assert code == EXIT_INPUT and "--subset-cap" in err and out == ""
+    assert code == EXIT_INPUT and "14..10" in err and out == ""
 
 
 def test_budget_env_var_not_an_integer(capsys, monkeypatch):
@@ -259,3 +257,10 @@ def test_graph_json_fractional_vertex_count(tmp_path, capsys):
     path.write_text('{"n": 2.5, "edges": [[0, 1]]}')
     code, out, err = run(capsys, "invariant", "--graph", str(path), "--which", "gamma")
     assert code == EXIT_INPUT and "vertex count" in err and out == ""
+
+
+def test_graph_json_fractional_edge_endpoint(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": [[0, 1.7], [1, 2]]}')
+    code, out, err = run(capsys, "invariant", "--graph", str(path), "--which", "gamma")
+    assert code == EXIT_INPUT and "endpoints" in err and out == ""

@@ -126,8 +126,20 @@ PRUNED_VS_BRUTE = [
 ]
 
 
+def assert_set_solvers_match_brute(g):
+    """gamma and Gamma, value and lexicographically smallest witness, as the
+    subset oracle finds them."""
+    sets = brute_minimal_dominating_sets(g)
+    sizes = [len(s) for s in sets]
+    for solver, size in ((solve_gamma, min(sizes)), (solve_upper_gamma, max(sizes))):
+        rep = solver(g)
+        assert rep.value == size
+        assert rep.witness_set == min(s for s in sets if len(s) == size)
+
+
 @pytest.mark.parametrize("g", PRUNED_VS_BRUTE, ids=lambda g: f"n{g.n}m{g.edge_count()}")
 def test_pruned_search_equals_unpruned_enumeration(g):
+    assert_set_solvers_match_brute(g)
     brute = brute_minimal_broadcasts(g)
     assert solve_upper_gamma_b(g).value == max(cost(b) for b in brute)
     assert solve_gamma_b(g).value == min(cost(b) for b in brute)
@@ -165,6 +177,7 @@ def connected_non_trees(draw):
 def test_pruned_equals_unpruned_random_non_trees(g):
     # balls of uneven size across vertices and strengths, where a wrong
     # coverage ratio would cut a completable branch
+    assert_set_solvers_match_brute(g)
     brute = brute_minimal_broadcasts(g)
     assert solve_upper_gamma_b(g).value == max(cost(b) for b in brute)
     assert solve_gamma_b(g).value == min(cost(b) for b in brute)
@@ -216,20 +229,16 @@ def test_witnesses_are_lexicographically_smallest(fig_graph):
         )
 
 
-def test_subset_cap():
-    g = gen_path(26)
-    with pytest.raises(CapabilityError):
-        solve_gamma(g, SolverBudget(subset_vertex_cap=25))
-    solve_gamma(gen_path(5), SolverBudget(subset_vertex_cap=5))
-    # the sweep's masks are uint32: a larger cap is lowered to 32, not overflowed
-    with pytest.raises(CapabilityError, match="capped at 32"):
-        solve_gamma(gen_path(33), SolverBudget(subset_vertex_cap=40))
-
-
 def test_node_budget_reports_estimate():
     g = gen_torus(3, 4)
     with pytest.raises(CapabilityError, match="search space"):
         solve_upper_gamma_b(g, SolverBudget(broadcast_node_cap=50))
+
+
+def test_node_budget_bounds_the_set_search():
+    g = gen_torus(3, 4)
+    with pytest.raises(CapabilityError, match="search space"):
+        solve_upper_gamma(g, SolverBudget(broadcast_node_cap=50))
 
 
 def test_solvers_reject_disconnected():
@@ -260,7 +269,8 @@ from bdom import solvers
 from bdom.graphs import gen_path
 
 def bad_search(ctx, window, nodes, on_found):
-    # (1, 1, 1, 0) dominates P4, but vertex 1 keeps no private neighbour
+    # (1, 1, 1, 0) dominates P4, as a broadcast and as the set of vertices
+    # 0, 1 and 2, but vertex 1 keeps no private neighbour
     on_found(3, (1, 1, 1, 0))
 
 solvers._search_minimal_broadcasts = bad_search
@@ -271,7 +281,9 @@ except AssertionError as exc:
 """
 
 
-@pytest.mark.parametrize("solver", ["solve_gamma_b", "solve_upper_gamma_b"])
+@pytest.mark.parametrize(
+    "solver", ["solve_gamma", "solve_upper_gamma", "solve_gamma_b", "solve_upper_gamma_b"]
+)
 def test_witness_check_survives_optimize_flag(solver):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -282,3 +294,13 @@ def test_witness_check_survives_optimize_flag(solver):
     assert proc.returncode == 0, proc.stderr
     assert "optimize 1 rejected:" in proc.stdout
     assert "witness rejected by the predicate layer" in proc.stdout
+
+
+def test_package_imports_without_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import bdom, sys; assert 'numpy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
