@@ -30,7 +30,6 @@ from .diametrical import (
     decompose,
     diametrical_paths,
     is_diametrical_exact,
-    parity_certificate,
 )
 from .errors import CapabilityError, InputError
 from .graphs import (
@@ -56,6 +55,7 @@ from .graphs import (
 from .solvers import (
     InvariantReport,
     SolverBudget,
+    beats_diameter,
     enumerate_minimal_broadcasts,
     solve_gamma,
     solve_gamma_b,

@@ -45,13 +45,15 @@ BUDGET_ENV_VAR = "BD_BUDGET_NODES"
 
 def budget_from_args(args) -> SolverBudget:
     """The solver budget from --budget-nodes, else the environment."""
-    nodes = args.budget_nodes
+    nodes, source = args.budget_nodes, "--budget-nodes"
     if nodes is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
+        env, source = os.environ.get(BUDGET_ENV_VAR), BUDGET_ENV_VAR
         try:
             nodes = int(env) if env else SolverBudget().broadcast_node_cap
         except ValueError:
             raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+    if nodes < 1:
+        raise InputError(f"{source} must be positive, got {nodes}")
     return SolverBudget(broadcast_node_cap=nodes)
 
 
@@ -158,6 +160,8 @@ def _parse_range(text: str) -> range:
 
 def cmd_verify(args) -> int:
     budget = budget_from_args(args)
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     family = args.family
     if family == "cycle":
         points = [(None, n) for n in _parse_range(args.n)]

@@ -25,22 +25,18 @@ neither sufficient nor necessary:
 On the acceptance corpus (all trees up to 9 vertices plus 200 seeded random
 trees) the rule and the oracle disagree on 9 of 295 trees.
 
-A breadth-first parity labeling gives an independent non-diametricality
-certificate: if the odd-depth class, broadcast at strength 1, is a minimal
-dominating broadcast larger than the diameter, the graph cannot be
-diametrical.  The labeling is only trusted after the minimality check
-passes, so the certificate is sound but deliberately incomplete.
+The oracle is a decision search, `solvers.beats_diameter`: it returns the
+first minimal dominating broadcast that costs more than the diameter, which
+certifies a non-diametrical graph, or None for a diametrical one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from . import broadcasts
 from .errors import InputError
 from .graphs import Graph, LobsterSpec, build_graph, gen_lobster, metrics
-from .solvers import DEFAULT_BUDGET, SolverBudget, solve_upper_gamma_b
+from .solvers import DEFAULT_BUDGET, SolverBudget, beats_diameter
 from .trees import canonical_form, is_tree
 
 PAIR_MIN_GAP = {
@@ -316,27 +312,6 @@ def witness_matches(t: Graph, dec: LimbDecomposition) -> bool:
     return canonical_form(reconstruct_witness(dec)) == canonical_form(t)
 
 
-def parity_certificate(g: Graph):
-    """Search all roots for a breadth-first odd-parity certificate.
-
-    Returns (root, count) for the first root whose odd-depth class, taken as
-    a strength-1 broadcast, is verified minimal dominating with more members
-    than the diameter; None when no root certifies.  Unverifiable labelings
-    are discarded rather than trusted.
-    """
-    m = metrics(g)
-    if not m.connected:
-        raise InputError("parity_certificate requires a connected graph")
-    for root in range(g.n):
-        odd = [v for v in range(g.n) if m.dist[root][v] % 2 == 1]
-        if len(odd) <= m.diameter:
-            continue
-        f = broadcasts.broadcast_from_set(g, odd)
-        if broadcasts.is_minimal_dominating_broadcast(g, f):
-            return root, len(odd)
-    return None
-
-
 def concatenate(t1: Graph, d1, t2: Graph, d2) -> Graph:
     """Glue two trees by identifying the end of one longest path with the
     start of another; the result is a tree of diameter len(d1)+len(d2)."""
@@ -359,17 +334,10 @@ def concatenate(t1: Graph, d1, t2: Graph, d2) -> Graph:
     return build_graph(nxt, edges)
 
 
-@lru_cache(maxsize=4096)
-def _upper_gamma_b_value(g: Graph, budget: SolverBudget) -> int:
-    return solve_upper_gamma_b(g, budget).value
-
-
 def is_diametrical_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> bool:
-    """Oracle: maximum minimal-broadcast cost equals the diameter.
+    """Oracle: no minimal dominating broadcast costs more than the diameter.
 
     A single vertex has no dominating broadcast at all and counts as
     non-diametrical.
     """
-    if g.n == 1:
-        return False
-    return _upper_gamma_b_value(g, budget) == metrics(g).diameter
+    return g.n > 1 and beats_diameter(g, budget) is None

@@ -21,15 +21,16 @@ caller may narrow as results come in, and it cuts a subtree when
 
 No minimal dominating broadcast costs more than the edge count, which caps
 hi.  The callers differ only in their windows and in which optimum they keep:
-each witness is the lexicographically smallest optimal broadcast or set.
+each witness is the lexicographically smallest optimal broadcast or set.  The
+diametricality oracle `beats_diameter` decides rather than optimizes: its
+window is [diam + 1, |E|], and its first find closes it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 from .broadcasts import (
     Broadcast,
@@ -106,7 +107,6 @@ class _SearchContext:
     cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= caps[v]
 
 
-@lru_cache(maxsize=256)
 def _search_context(g: Graph, top: int) -> _SearchContext:
     """Search tables for strengths up to min(ecc(v), top) at each vertex v.
 
@@ -274,13 +274,9 @@ def _search(ctx: _SearchContext, window: list[int], nodes: _Nodes, on_found) -> 
 
 def enumerate_minimal_broadcasts(
     g: Graph, cost_bound: int, budget: SolverBudget = DEFAULT_BUDGET
-) -> Iterator[Broadcast]:
+) -> list[Broadcast]:
     """Every minimal dominating broadcast of cost <= cost_bound, exactly once,
-    in lexicographic strength-vector order.
-
-    The search runs to completion before this returns: the result is an
-    iterator over a list already built, so a budget error is raised here,
-    never midway through iteration."""
+    in lexicographic strength-vector order."""
     _require_connected(g)
     if cost_bound < 0:
         raise InputError("cost bound must be non-negative")
@@ -292,7 +288,7 @@ def enumerate_minimal_broadcasts(
         _Nodes(budget.broadcast_node_cap),
         lambda _c, vec: found.append(Broadcast(vec)),
     )
-    return iter(found)
+    return found
 
 
 def _solve(
@@ -377,3 +373,28 @@ def solve_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantR
 def solve_upper_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
     """Maximum cost of a minimal dominating broadcast."""
     return _solve(g, "Gamma_b", _broadcast_top(g), budget, maximize=True)
+
+
+def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast | None:
+    """The lexicographically first minimal dominating broadcast that costs
+    more than the diameter; None when there is none, that is when Gamma_b
+    equals the diameter."""
+    _require_connected(g)
+    ctx = _search_context(g, _broadcast_top(g))
+    diameter = metrics(g).diameter
+    window = [diameter + 1, ctx.edge_count]
+    found: list = []
+
+    def on_found(_c, vec):
+        found.append(vec)
+        window[0] = window[1] + 1  # the first find decides
+
+    _search(ctx, window, _Nodes(budget.broadcast_node_cap), on_found)
+    if not found:
+        return None
+    witness = Broadcast(found[-1])
+    _check_witness(
+        "beats_diameter",
+        is_minimal_dominating_broadcast(g, witness) and cost(witness) > diameter,
+    )
+    return witness

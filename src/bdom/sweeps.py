@@ -1,8 +1,9 @@
 """The two verification sweeps, defined once for the CLI, the scripts and the
 acceptance tests: closed form against solver, one row per point
 (`verify_point`), and classifier against oracle over a tree corpus
-(`classification_corpus`, `check_tree`), where one Gamma_b solve per tree
-both decides the oracle's verdict and keeps its witness.
+(`classification_corpus`, `check_tree`).  The oracle behind both is the
+decision search `beats_diameter`; a tree check keeps the broadcast it finds,
+which certifies a non-diametrical tree.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import formulas
+from .broadcasts import Broadcast
 from .diametrical import Verdict, classify_tree, is_diametrical_exact
 from .errors import CapabilityError, InputError
-from .graphs import Graph, gen_cycle, gen_grid, gen_torus, metrics, serialize
+from .graphs import Graph, gen_cycle, gen_grid, gen_torus, serialize
 from .solvers import (
     DEFAULT_BUDGET,
-    InvariantReport,
     SolverBudget,
+    beats_diameter,
     solve_gamma,
     solve_gamma_b,
     solve_upper_gamma,
@@ -82,6 +84,8 @@ def classification_corpus(max_n: int = 9, count: int = 200, lo: int = 10,
                           hi: int = 14, seed: int = 0) -> list[Graph]:
     """Every tree with up to max_n vertices, then `count` seeded random trees
     with lo..hi vertices.  The defaults give the 295-tree acceptance corpus."""
+    if count < 0:
+        raise InputError(f"random tree count must be non-negative, got {count}")
     if count > 0 and hi < lo:
         raise InputError(f"random tree sizes {lo}..{hi}: the range is empty")
     trees = list(enumerate_trees(max_n))
@@ -95,12 +99,13 @@ def classification_corpus(max_n: int = 9, count: int = 200, lo: int = 10,
 class TreeCheck:
     tree: Graph
     verdict: Verdict  # the structural rule's
-    report: InvariantReport | None  # exact Gamma_b; None for a single vertex
+    beats: Broadcast | None  # the first minimal dominating broadcast costing more than diam
 
     @property
     def exact(self) -> bool:
-        """The oracle's verdict: Gamma_b equals the diameter."""
-        return self.report is not None and self.report.value == metrics(self.tree).diameter
+        """The oracle's verdict: no broadcast beats the diameter, and the tree
+        has a dominating broadcast at all (a single vertex has none)."""
+        return self.tree.n > 1 and self.beats is None
 
     @property
     def agrees(self) -> bool:
@@ -108,9 +113,8 @@ class TreeCheck:
 
 
 def check_tree(t: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> TreeCheck:
-    """Classify t and solve its Gamma_b (a single vertex has no broadcast)."""
-    verdict = classify_tree(t)
-    return TreeCheck(t, verdict, solve_upper_gamma_b(t, budget) if t.n > 1 else None)
+    """Classify t and search for a broadcast that beats its diameter."""
+    return TreeCheck(t, classify_tree(t), beats_diameter(t, budget) if t.n > 1 else None)
 
 
 def summarize(checks: list[TreeCheck]) -> dict:

@@ -49,14 +49,6 @@ def brute_minimal_broadcasts(g: Graph, cost_bound=None):
     return out
 
 
-def brute_upper_gamma_b(g: Graph) -> int:
-    return max(sum(b.strengths) for b in brute_minimal_broadcasts(g))
-
-
-def brute_gamma_b(g: Graph) -> int:
-    return min(sum(b.strengths) for b in brute_minimal_broadcasts(g))
-
-
 def brute_minimal_dominating_sets(g: Graph):
     out = []
     for r in range(1, g.n + 1):

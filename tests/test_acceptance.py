@@ -72,20 +72,13 @@ RING_WITH_LEAVES = build_graph(
 @functools.lru_cache(maxsize=None)
 def _upper_gamma_b(g):
     """One Gamma_b report per graph, shared by the criteria that solve the
-    same cycles, tori and corpus trees."""
+    same cycles, tori and corpus trees (criteria 6 and 8 solve the 294
+    classification-corpus trees with two or more vertices)."""
     return solve_upper_gamma_b(g)
 
 
 def _report(criterion, ok, detail):
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-@functools.lru_cache(maxsize=None)
-def _corpus_checks():
-    """The sweep engine's check of every tree in the classification corpus
-    (all trees up to 9 vertices plus 200 seeded random 10..14 trees), shared
-    by criterion 6 (verdicts) and criterion 8 (Gamma_b values)."""
-    return tuple(check_tree(t) for t in classification_corpus())
 
 
 def _columns(m, n, cols):
@@ -264,12 +257,13 @@ def test_criterion_5_cited_formulas():
 
 def test_criterion_6_classifier_against_oracle():
     started = time.monotonic()
-    checks = _corpus_checks()
+    checks = [check_tree(t) for t in classification_corpus()]
     failures = []
     accepted_non_diametrical = []
     rejected_diametrical = []
+    oracle_checked = 0
     for check in checks:
-        t, verdict, report = check.tree, check.verdict, check.report
+        t, verdict = check.tree, check.verdict
         if verdict != classify_tree(t):
             failures.append(("verdict", t.edges()))
         if verdict.diametrical:
@@ -280,13 +274,20 @@ def test_criterion_6_classifier_against_oracle():
                 failures.append(("decomposition", t.edges(), dec.to_json_dict()))
         if t.n == 1:
             continue  # no dominating broadcast; both sides say non-diametrical
-        # the oracle's verdict, with the broadcast that decides it checked by
-        # the predicate layer: a non-diametrical tree shows one beating diam
+        # the full search's verdict, with its witness checked by the predicate
+        # layer, against the decision search that check_tree runs; a broadcast
+        # the decision search reports must beat diam and pass the predicates
         d = metrics(t).diameter
+        report = _upper_gamma_b(t)
         w = report.witness_broadcast
         if cost(w) != report.value or report.value < d or not is_minimal_dominating_broadcast(t, w):
             failures.append(("oracle witness", t.edges(), w.strengths))
+        if check.beats is not None and not (
+            cost(check.beats) > d and is_minimal_dominating_broadcast(t, check.beats)
+        ):
+            failures.append(("beating broadcast", t.edges(), check.beats.strengths))
         exact = report.value == d
+        oracle_checked += 1
         if check.exact != exact:
             failures.append(("check_tree verdict", t.edges()))
         if verdict.diametrical == exact:
@@ -303,12 +304,14 @@ def test_criterion_6_classifier_against_oracle():
                 failures.append(("rejection reason", t.edges(), verdict.reason))
     elapsed = time.monotonic() - started
     disagreements = len(accepted_non_diametrical) + len(rejected_diametrical)
-    ok = (not failures and sorted(accepted_non_diametrical) == RULE_ACCEPTS_NON_DIAMETRICAL
+    ok = (not failures and oracle_checked == 294
+          and sorted(accepted_non_diametrical) == RULE_ACCEPTS_NON_DIAMETRICAL
           and rejected_diametrical == RULE_REJECTS_DIAMETRICAL and elapsed < 900)
     _report(6, ok, f"{len(checks)} trees, {disagreements} disagreements certified by "
                    f"verified witnesses, {elapsed:.1f}s")
     assert elapsed < 900
     assert not failures, failures
+    assert oracle_checked == 294, oracle_checked
     # the rule is not sufficient: the smallest accepted tree, a diameter-5
     # spine with a two-edge limb at position 3, has a minimal dominating
     # broadcast of cost 6
@@ -418,9 +421,8 @@ def test_criterion_8_structural_property_suites():
         + [FIG_GRAPH, RING_WITH_LEAVES, gen_grid(2, 2), gen_star(3),
            gen_lobster(LobsterSpec(6, ((1, "C"), (3, "C"), (5, "C"))))]
     )
-    solved = [(g, _upper_gamma_b(g).value) for g in corpus] + [
-        (c.tree, c.report.value) for c in _corpus_checks() if c.report is not None
-    ]
+    corpus += [t for t in classification_corpus() if t.n > 1]
+    solved = [(g, _upper_gamma_b(g).value) for g in corpus]
     edge_bound_failures = []
     for g, value in solved:
         tight = value == g.edge_count()

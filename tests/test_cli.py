@@ -264,3 +264,31 @@ def test_graph_json_fractional_edge_endpoint(tmp_path, capsys):
     path.write_text('{"n": 3, "edges": [[0, 1.7], [1, 2]]}')
     code, out, err = run(capsys, "invariant", "--graph", str(path), "--which", "gamma")
     assert code == EXIT_INPUT and "endpoints" in err and out == ""
+
+
+def test_enumerate_check_negative_random_count(capsys):
+    code, out, err = run(capsys, "enumerate-check", "--max-n", "3", "--random", "-2")
+    assert code == EXIT_INPUT and "-2" in err and out == ""
+
+
+@pytest.mark.parametrize("nodes", ["0", "-5"])
+def test_budget_flag_not_positive(capsys, nodes):
+    code, out, err = run(
+        capsys, "invariant", "--family", "cycle:5", "--which", "Gamma_b", "--budget-nodes", nodes,
+    )
+    assert code == EXIT_INPUT and "--budget-nodes must be positive" in err and out == ""
+
+
+@pytest.mark.parametrize("nodes", ["0", "-5"])
+def test_budget_env_var_not_positive(capsys, monkeypatch, nodes):
+    monkeypatch.setenv("BD_BUDGET_NODES", nodes)
+    code, out, err = run(capsys, "invariant", "--family", "cycle:5", "--which", "Gamma_b")
+    assert code == EXIT_INPUT and "BD_BUDGET_NODES must be positive" in err and out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_not_positive(capsys, jobs):
+    code, out, err = run(
+        capsys, "verify", "--family", "cycle", "--which", "Gamma_b", "--n", "3:4", "--jobs", jobs,
+    )
+    assert code == EXIT_INPUT and "--jobs" in err and out == ""

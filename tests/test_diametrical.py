@@ -16,7 +16,6 @@ from bdom.diametrical import (
     decompose,
     diametrical_paths,
     is_diametrical_exact,
-    parity_certificate,
     witness_matches,
 )
 from bdom.errors import InputError
@@ -154,26 +153,6 @@ def test_classify_paths_diametrical():
 def test_classify_rejects_non_tree():
     with pytest.raises(InputError):
         classify_tree(gen_cycle(5))
-
-
-def test_parity_certificate_three_c_limbs():
-    t = gen_lobster(LobsterSpec(6, ((1, "C"), (3, "C"), (5, "C"))))
-    assert parity_certificate(t) == (1, 7)
-
-
-def test_parity_certificate_claw():
-    assert parity_certificate(gen_star(3)) == (0, 3)
-
-
-def test_parity_certificate_path_none():
-    assert parity_certificate(gen_path(4)) is None
-
-
-def test_parity_certificate_sound_on_small_trees():
-    # must never fire on a tree the exact solver calls diametrical
-    for t in enumerate_trees(8):
-        if t.n >= 2 and is_diametrical_exact(t):
-            assert parity_certificate(t) is None
 
 
 def test_concatenate_paths():

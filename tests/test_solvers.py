@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    brute_gamma_b,
-    brute_minimal_broadcasts,
-    brute_minimal_dominating_sets,
-    brute_upper_gamma_b,
-)
+from conftest import brute_minimal_broadcasts, brute_minimal_dominating_sets
 
 from bdom.broadcasts import (
     Broadcast,
@@ -33,6 +28,7 @@ from bdom.graphs import (
 )
 from bdom.solvers import (
     SolverBudget,
+    beats_diameter,
     enumerate_minimal_broadcasts,
     solve_gamma,
     solve_gamma_b,
@@ -149,13 +145,23 @@ def test_pruned_search_equals_unpruned_enumeration(g):
     assert got == sorted(b.strengths for b in brute)
 
 
+def assert_beats_diameter_matches_brute(g, brute):
+    """The decision search finds the lexicographically first broadcast of
+    the unpruned enumeration that costs more than the diameter, or None."""
+    d = metrics(g).diameter
+    first = min((b for b in brute if cost(b) > d), key=lambda b: b.strengths, default=None)
+    assert beats_diameter(g) == first
+
+
 @given(st.integers(4, 7), st.data())
 @settings(max_examples=20, deadline=None, derandomize=True)
 def test_pruned_equals_unpruned_random_trees(n, data):
     seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
     t = prufer_to_graph(seq, n)
-    assert solve_upper_gamma_b(t).value == brute_upper_gamma_b(t)
-    assert solve_gamma_b(t).value == brute_gamma_b(t)
+    brute = brute_minimal_broadcasts(t)
+    assert solve_upper_gamma_b(t).value == max(cost(b) for b in brute)
+    assert solve_gamma_b(t).value == min(cost(b) for b in brute)
+    assert_beats_diameter_matches_brute(t, brute)
 
 
 @st.composite
@@ -183,6 +189,21 @@ def test_pruned_equals_unpruned_random_non_trees(g):
     assert solve_gamma_b(g).value == min(cost(b) for b in brute)
     got = [b.strengths for b in enumerate_minimal_broadcasts(g, g.edge_count())]
     assert got == sorted(b.strengths for b in brute)
+    assert_beats_diameter_matches_brute(g, brute)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_cycle(n) for n in range(3, 13)]
+    + [gen_torus(m, n) for m, n in [(3, 3), (3, 4), (3, 5), (4, 4), (4, 5)]],
+    ids=lambda g: f"n{g.n}m{g.edge_count()}",
+)
+def test_beats_diameter_equals_full_search(g):
+    d = metrics(g).diameter
+    beats = beats_diameter(g)
+    assert (beats is None) == (solve_upper_gamma_b(g).value == d)
+    if beats is not None:
+        assert is_minimal_dominating_broadcast(g, beats) and cost(beats) > d
 
 
 SANDWICH_GRAPHS = [
@@ -282,7 +303,8 @@ except AssertionError as exc:
 
 
 @pytest.mark.parametrize(
-    "solver", ["solve_gamma", "solve_upper_gamma", "solve_gamma_b", "solve_upper_gamma_b"]
+    "solver",
+    ["solve_gamma", "solve_upper_gamma", "solve_gamma_b", "solve_upper_gamma_b", "beats_diameter"],
 )
 def test_witness_check_survives_optimize_flag(solver):
     src = Path(__file__).resolve().parent.parent / "src"
