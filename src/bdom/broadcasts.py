@@ -71,12 +71,16 @@ def hearers(g: Graph, f: Broadcast, v: int) -> frozenset[int]:
     )
 
 
-def is_dominating(g: Graph, f: Broadcast) -> bool:
-    """True iff every vertex hears at least one broadcaster."""
+def _connected_dist(g: Graph) -> tuple[tuple[int, ...], ...]:
     m = metrics(g)
     if not m.connected:
         raise CapabilityError("domination is only defined on connected graphs")
-    dist = m.dist
+    return m.dist
+
+
+def is_dominating(g: Graph, f: Broadcast) -> bool:
+    """True iff every vertex hears at least one broadcaster."""
+    dist = _connected_dist(g)
     support = [(u, s) for u, s in enumerate(f.strengths) if s > 0]
     return all(any(dist[u][v] <= s for u, s in support) for v in range(g.n))
 
@@ -101,6 +105,14 @@ def is_minimal_dominating_broadcast(g: Graph, f: Broadcast) -> bool:
     return True
 
 
+def _hearer_sets(g: Graph, f: Broadcast) -> list[frozenset[int]]:
+    """Every vertex's hearers, from one pass over the distance table of a
+    connected graph."""
+    dist = _connected_dist(g)
+    support = [(u, s) for u, s in enumerate(f.strengths) if s > 0]
+    return [frozenset(u for u, s in support if dist[u][v] <= s) for v in range(g.n)]
+
+
 def minimal_via_private_neighbors(g: Graph, f: Broadcast) -> bool:
     """Minimality through the private-neighbor characterization.
 
@@ -109,13 +121,14 @@ def minimal_via_private_neighbors(g: Graph, f: Broadcast) -> bool:
     Kept as an independent implementation; tests assert it agrees with the
     decrement-based predicate on exhaustively enumerated broadcasts.
     """
-    if not is_dominating(g, f):
+    heard = _hearer_sets(g, f)
+    if not all(heard):
         return False
     dist = metrics(g).dist
     for v, s in enumerate(f.strengths):
         if s == 0:
             continue
-        privates = private_neighbors(g, f, v)
+        privates = [u for u, h in enumerate(heard) if h == {v}]
         if any(dist[v][u] == s for u in privates):
             continue
         if s == 1 and v in privates:
@@ -126,9 +139,10 @@ def minimal_via_private_neighbors(g: Graph, f: Broadcast) -> bool:
 
 def is_efficient(g: Graph, f: Broadcast) -> bool:
     """True iff every vertex hears exactly one broadcaster."""
-    if not is_dominating(g, f):
+    heard = _hearer_sets(g, f)
+    if not all(heard):
         raise InputError("efficiency is only defined for dominating broadcasts")
-    return all(len(hearers(g, f, v)) == 1 for v in range(g.n))
+    return all(len(h) == 1 for h in heard)
 
 
 def is_dominating_set(g: Graph, s: Iterable[int]) -> bool:

@@ -103,10 +103,13 @@ def _load_graph(path: str) -> Graph:
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: keep the exit code, and silence the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # --- invariant ---------------------------------------------------------------

@@ -12,9 +12,14 @@ limbs and the spine ends must keep minimum spine gaps:
     end-A >= 2 end-B >= 2 end-C >= 1
 
 The classifier accepts a tree when ANY longest path admits a legal
-decomposition.  The exact oracle `is_diametrical_exact` refutes the rule in
-both directions, with broadcasts the predicate layer accepts, so the rule is
-neither sufficient nor necessary:
+decomposition.  Both ends of a longest path are peripheral (their
+eccentricity is the diameter), so one BFS from each peripheral vertex u finds
+the paths to its partners v > u, walked from v down that BFS's distances; no
+all-pairs distance table is needed.
+
+The exact oracle `is_diametrical_exact` refutes the rule in both directions,
+with broadcasts the predicate layer accepts, so the rule is neither
+sufficient nor necessary:
 
 * a diameter-5 spine with a two-edge limb at position 3 passes every
   condition, yet has a minimal dominating broadcast of cost 6;
@@ -35,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph, LobsterSpec, build_graph, gen_lobster, metrics
+from .graphs import Graph, LobsterSpec, bfs_distances, build_graph, gen_lobster
 from .solvers import DEFAULT_BUDGET, SolverBudget, beats_diameter
-from .trees import canonical_form, is_tree
+from .trees import canonical_form, eccentricities, is_tree
 
 PAIR_MIN_GAP = {
     ("A", "A"): 4,
@@ -127,37 +132,23 @@ class Verdict:
         }
 
 
-def _tree_path(g: Graph, u: int, v: int) -> tuple[int, ...]:
-    """The unique u-v path, by parent pointers from a BFS at u."""
-    parent = {u: u}
-    frontier = [u]
-    while v not in parent:
-        nxt = []
-        for x in frontier:
-            for w in g.adjacency[x]:
-                if w not in parent:
-                    parent[w] = x
-                    nxt.append(w)
-        frontier = nxt
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
-
-
 def diametrical_paths(t: Graph) -> list[tuple[int, ...]]:
     """Every longest path of the tree, one per unordered endpoint pair,
     ordered by endpoints."""
     if not is_tree(t):
         raise InputError("diametrical_paths requires a tree")
-    m = metrics(t)
-    d = m.diameter
-    return [
-        _tree_path(t, u, v)
-        for u in range(t.n)
-        for v in range(u + 1, t.n)
-        if m.dist[u][v] == d
-    ] or [(0,)]
+    ecc = eccentricities(t)
+    d = max(ecc)
+    paths = []
+    for u in [u for u, e in enumerate(ecc) if e == d]:
+        dist = bfs_distances(t, u)
+        for v in range(u + 1, t.n):
+            if dist[v] == d:
+                path = [v]
+                for k in range(d - 1, -1, -1):
+                    path.append(next(w for w in t.adjacency[path[-1]] if dist[w] == k))
+                paths.append(tuple(reversed(path)))
+    return paths or [(0,)]
 
 
 def _validate_diametrical_path(t: Graph, path) -> None:
@@ -166,7 +157,7 @@ def _validate_diametrical_path(t: Graph, path) -> None:
     for a, b in zip(path, path[1:]):
         if b not in t.adjacency[a]:
             raise InputError(f"path step {a}-{b} is not an edge")
-    if len(path) - 1 != metrics(t).diameter:
+    if len(path) - 1 != max(eccentricities(t)):
         raise InputError("path is not a longest path of the tree")
 
 
@@ -182,6 +173,11 @@ def decompose(t: Graph, path) -> LimbDecomposition | Violation:
         raise InputError("decompose requires a tree")
     path = tuple(path)
     _validate_diametrical_path(t, path)
+    return _decompose(t, path)
+
+
+def _decompose(t: Graph, path: tuple[int, ...]) -> LimbDecomposition | Violation:
+    """`decompose` on a path already known to be a longest path of tree t."""
     on_spine = set(path)
     limbs: list[Limb] = []
     limb_vertices: list[tuple[int, ...]] = []
@@ -286,9 +282,10 @@ def classify_tree(t: Graph) -> Verdict:
         if first_violation is None:
             first_violation = v
 
-    d = metrics(t).diameter
-    for path in diametrical_paths(t):
-        dec = decompose(t, path)
+    paths = diametrical_paths(t)
+    d = len(paths[0]) - 1
+    for path in paths:
+        dec = _decompose(t, path)
         if isinstance(dec, Violation):
             note(dec)
             continue

@@ -11,28 +11,8 @@ disagreement as a hard mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapabilityError, InputError
-
-
-@dataclass(frozen=True)
-class FormulaResult:
-    invariant: str
-    value: int
-    source: str
-    applicability: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "invariant": self.invariant,
-            "value": self.value,
-            "method": "closed_form",
-            "source": self.source,
-            "applicability": self.applicability,
-            "witness": None,
-            "nodes": 0,
-        }
+from .solvers import InvariantReport
 
 
 def upper_gamma_c3_torus(n: int) -> int:
@@ -160,7 +140,7 @@ _FORMULAS = {
 }
 
 
-def evaluate(family: str, invariant: str, m: int | None, n: int) -> FormulaResult:
+def evaluate(family: str, invariant: str, m: int | None, n: int) -> InvariantReport:
     """Closed-form dispatch used by the CLI; raises InputError when no
     published formula covers the (family, invariant) pair."""
     if (family, invariant) not in _FORMULAS:
@@ -169,4 +149,5 @@ def evaluate(family: str, invariant: str, m: int | None, n: int) -> FormulaResul
         )
     fn, source, applicability = _FORMULAS[family, invariant]
     value = fn(n) if family == "cycle" else fn(m, n)
-    return FormulaResult(invariant, int(value), source, applicability)
+    return InvariantReport(invariant, int(value), "closed_form",
+                           source=source, applicability=applicability)

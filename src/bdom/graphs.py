@@ -70,7 +70,8 @@ class Metrics:
     diameter: int | None
 
 
-def _bfs_distances(g: Graph, source: int) -> list[int]:
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """Hop distance from `source` to every vertex (UNREACHABLE if none)."""
     dist = [UNREACHABLE] * g.n
     dist[source] = 0
     queue = deque([source])
@@ -86,7 +87,7 @@ def _bfs_distances(g: Graph, source: int) -> list[int]:
 @lru_cache(maxsize=None)
 def metrics(g: Graph) -> Metrics:
     """BFS-exact metrics of `g`."""
-    rows = tuple(tuple(_bfs_distances(g, s)) for s in range(g.n))
+    rows = tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
     connected = all(d != UNREACHABLE for d in rows[0]) if g.n > 0 else True
     if not connected:
         return Metrics(rows, False, None, None, None)
@@ -95,7 +96,7 @@ def metrics(g: Graph) -> Metrics:
 
 
 def is_connected(g: Graph) -> bool:
-    return metrics(g).connected
+    return UNREACHABLE not in bfs_distances(g, 0)
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:

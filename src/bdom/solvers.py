@@ -54,14 +54,17 @@ DEFAULT_BUDGET = SolverBudget()
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Value of an invariant plus the witness that attains it."""
+    """Value of an invariant plus the witness that attains it; a closed-form
+    value carries its citation tag and parameter domain instead."""
 
-    invariant: str  # gamma | Gamma | gamma_b | Gamma_b
+    invariant: str  # gamma | Gamma | gamma_b | Gamma_b | diametrical
     value: int
-    method: str  # exact
+    method: str  # exact | closed_form
     witness_set: tuple[int, ...] | None = None
     witness_broadcast: Broadcast | None = None
     nodes: int = 0
+    source: str | None = None
+    applicability: str | None = None
 
     def witness_json(self):
         if self.witness_set is not None:
@@ -71,13 +74,13 @@ class InvariantReport:
         return None
 
     def to_json_dict(self) -> dict:
-        return {
-            "invariant": self.invariant,
-            "value": self.value,
-            "method": self.method,
-            "witness": self.witness_json(),
-            "nodes": self.nodes,
-        }
+        out = {"invariant": self.invariant, "value": self.value, "method": self.method}
+        for key in ("source", "applicability"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
+        out["witness"] = self.witness_json()
+        out["nodes"] = self.nodes
+        return out
 
 
 def _require_connected(g: Graph) -> None:

@@ -1,4 +1,9 @@
-"""Tree recognition, canonical forms, and tree generation.
+"""Tree recognition, eccentricities, canonical forms, and tree generation.
+
+A tree needs no all-pairs distance table.  The vertex a farthest from 0 ends
+a longest path, and so does the vertex b farthest from a; every vertex is
+farthest from a or from b, so three BFS give every eccentricity, and with
+them the centers.
 
 Exhaustive generation walks rooted level sequences (the classic successor
 rule that rewrites the tail of the sequence) and keeps one representative per
@@ -13,35 +18,30 @@ import random
 from typing import Iterator
 
 from .errors import CapabilityError, InputError
-from .graphs import Graph, build_graph, is_connected
+from .graphs import Graph, bfs_distances, build_graph, is_connected
 
 EXHAUSTIVE_TREE_CAP = 10
 
 
 def is_tree(g: Graph) -> bool:
-    return is_connected(g) and g.edge_count() == g.n - 1
+    return g.edge_count() == g.n - 1 and is_connected(g)
+
+
+def eccentricities(t: Graph) -> list[int]:
+    """Every vertex's eccentricity in a tree, from three BFS."""
+    from_0 = bfs_distances(t, 0)
+    from_a = bfs_distances(t, from_0.index(max(from_0)))
+    from_b = bfs_distances(t, from_a.index(max(from_a)))
+    return [max(x, y) for x, y in zip(from_a, from_b)]
 
 
 def tree_centers(g: Graph) -> tuple[int, ...]:
-    """The one or two middle vertices of a tree, found by peeling leaves."""
+    """The one or two vertices of least eccentricity in a tree."""
     if not is_tree(g):
         raise InputError("tree_centers requires a tree")
-    if g.n <= 2:
-        return tuple(range(g.n))
-    deg = [g.degree(v) for v in range(g.n)]
-    layer = [v for v in range(g.n) if deg[v] == 1]
-    remaining = g.n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for w in g.adjacency[v]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    nxt.append(w)
-        layer = nxt
-    return tuple(sorted(layer))
+    ecc = eccentricities(g)
+    radius = min(ecc)
+    return tuple(v for v, e in enumerate(ecc) if e == radius)
 
 
 def _rooted_canonical(g: Graph, v: int, parent: int) -> str:

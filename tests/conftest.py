@@ -56,3 +56,25 @@ def brute_minimal_dominating_sets(g: Graph):
             if is_minimal_dominating_set(g, comb):
                 out.append(comb)
     return out
+
+
+def reference_longest_paths(t: Graph):
+    """All-pairs reference for `diametrical_paths`: the pairs u < v at
+    distance diam, in endpoint order, each walked from v down dist[u]."""
+    m = metrics(t)
+    paths = []
+    for u in range(t.n):
+        for v in range(u + 1, t.n):
+            if m.dist[u][v] == m.diameter:
+                path = [v]
+                while path[-1] != u:
+                    x = path[-1]
+                    path.append(next(w for w in t.adjacency[x] if m.dist[u][w] < m.dist[u][x]))
+                paths.append(tuple(reversed(path)))
+    return paths or [(0,)]
+
+
+def reference_centers(t: Graph):
+    """All-pairs reference for `tree_centers`: the vertices of least eccentricity."""
+    m = metrics(t)
+    return tuple(v for v, e in enumerate(m.ecc) if e == m.radius)

@@ -50,8 +50,9 @@ def test_dominating(fig_graph, fig_broadcasts):
 
 def test_dominating_rejects_disconnected():
     g = build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(CapabilityError):
-        is_dominating(g, Broadcast((1, 0, 1, 0)))
+    for predicate in (is_dominating, minimal_via_private_neighbors, is_efficient):
+        with pytest.raises(CapabilityError):
+            predicate(g, Broadcast((1, 0, 1, 0)))
 
 
 def test_private_neighbors_cycle_example():

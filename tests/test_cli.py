@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -292,3 +296,22 @@ def test_verify_jobs_not_positive(capsys, jobs):
         capsys, "verify", "--family", "cycle", "--which", "Gamma_b", "--n", "3:4", "--jobs", jobs,
     )
     assert code == EXIT_INPUT and "--jobs" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["invariant", "--family", "cycle:8", "--which", "Gamma_b"], EXIT_OK),
+    (["verify", "--family", "torus", "--which", "Gamma", "--m", "3:3", "--n", "4:4"], EXIT_MISMATCH),
+])
+def test_closed_stdout_pipe_exits_quietly(argv, expected):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bdom", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src}, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected
+    assert proc.stderr == ""

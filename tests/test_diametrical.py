@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import reference_centers, reference_longest_paths
 from bdom.diametrical import (
     ILLEGAL_LIMB_SHAPE,
     LIMB_TOO_DEEP,
@@ -30,7 +31,7 @@ from bdom.graphs import (
     metrics,
 )
 from bdom.solvers import solve_upper_gamma_b
-from bdom.trees import canonical_form, enumerate_trees, random_tree
+from bdom.trees import canonical_form, eccentricities, enumerate_trees, random_tree, tree_centers
 
 
 @pytest.fixture
@@ -274,3 +275,39 @@ def test_limb_attachment_at_junction_preserves_diametricality():
                 if not is_diametrical_exact(t):
                     failures.append((d1, d2, kind))
     assert not failures, f"junction attachments losing diametricality: {failures}"
+
+
+def _small_and_random_trees():
+    trees = list(enumerate_trees(10))
+    rng = random.Random(17)
+    return trees + [random_tree(rng.randrange(2, 61), rng) for _ in range(500)]
+
+
+def test_longest_paths_and_centers_equal_all_pairs_reference():
+    for t in _small_and_random_trees():
+        assert diametrical_paths(t) == reference_longest_paths(t), t.edges()
+        assert tree_centers(t) == reference_centers(t), t.edges()
+
+
+def test_tree_eccentricities_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for t in _small_and_random_trees():
+        h = nx.Graph(t.edges())
+        h.add_nodes_from(range(t.n))
+        ecc = nx.eccentricity(h)
+        assert eccentricities(t) == [ecc[v] for v in range(t.n)], t.edges()
+        assert tree_centers(t) == tuple(sorted(nx.center(h))), t.edges()
+        assert len(diametrical_paths(t)[0]) - 1 == nx.diameter(h), t.edges()
+
+
+def test_tree_questions_leave_the_all_pairs_cache_alone():
+    legs = 40
+    spider = build_graph(
+        2 * legs + 1, [(0, i) for i in range(1, legs + 1)] + [(i, i + legs) for i in range(1, legs + 1)]
+    )
+    for t in (gen_path(1500), spider):
+        before = metrics.cache_info()
+        classify_tree(t)
+        diametrical_paths(t)
+        tree_centers(t)
+        assert metrics.cache_info() == before
