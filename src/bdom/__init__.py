@@ -28,8 +28,8 @@ from .diametrical import (
     classify_tree,
     concatenate,
     decompose,
-    diametrical_paths,
     is_diametrical_exact,
+    longest_path,
 )
 from .errors import CapabilityError, InputError
 from .graphs import (

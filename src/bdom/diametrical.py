@@ -11,11 +11,18 @@ limbs and the spine ends must keep minimum spine gaps:
     B-B >= 3   B-C >= 2   C-C >= 2
     end-A >= 2 end-B >= 2 end-C >= 1
 
-The classifier accepts a tree when ANY longest path admits a legal
-decomposition.  Both ends of a longest path are peripheral (their
-eccentricity is the diameter), so one BFS from each peripheral vertex u finds
-the paths to its partners v > u, walked from v down that BFS's distances; no
-all-pairs distance table is needed.
+`classify_tree` reads one longest path, because the rule gives the same
+verdict on every longest path.  Suppose the longest path p0..pd passes.  A
+vertex at depth k in a limb at position i has eccentricity k + max(i, d - i),
+which is d only when k = min(i, d - i).  A and B limbs keep a gap of at least
+2 from the ends, so the only vertices off the path of eccentricity d are the
+leaf of a C limb at position 1 or d - 1 and the tip of an A limb at position
+2 or d - 2, and every other longest path swaps one or both ends of p0..pd for
+such a vertex.  A swap turns the old end into a limb of the same kind at the
+same position, so the other path has the same limbs at the same positions,
+read in the same or the reverse order; both gap tables are symmetric under
+reversal, so it passes too.  Hence a tree that fails on one longest path
+fails on all.
 
 The exact oracle `is_diametrical_exact` refutes the rule in both directions,
 with broadcasts the predicate layer accepts, so the rule is neither
@@ -132,23 +139,19 @@ class Verdict:
         }
 
 
-def diametrical_paths(t: Graph) -> list[tuple[int, ...]]:
-    """Every longest path of the tree, one per unordered endpoint pair,
-    ordered by endpoints."""
+def longest_path(t: Graph) -> tuple[int, ...]:
+    """The path from the least-index peripheral vertex u to the least index v
+    at distance diam from u (v > u, or v would be the peripheral one), found
+    by BFS alone with no all-pairs table."""
     if not is_tree(t):
-        raise InputError("diametrical_paths requires a tree")
+        raise InputError("longest_path requires a tree")
     ecc = eccentricities(t)
     d = max(ecc)
-    paths = []
-    for u in [u for u, e in enumerate(ecc) if e == d]:
-        dist = bfs_distances(t, u)
-        for v in range(u + 1, t.n):
-            if dist[v] == d:
-                path = [v]
-                for k in range(d - 1, -1, -1):
-                    path.append(next(w for w in t.adjacency[path[-1]] if dist[w] == k))
-                paths.append(tuple(reversed(path)))
-    return paths or [(0,)]
+    dist = bfs_distances(t, ecc.index(d))
+    path = [dist.index(d)]
+    for k in range(d - 1, -1, -1):
+        path.append(next(w for w in t.adjacency[path[-1]] if dist[w] == k))
+    return tuple(reversed(path))
 
 
 def _validate_diametrical_path(t: Graph, path) -> None:
@@ -173,11 +176,6 @@ def decompose(t: Graph, path) -> LimbDecomposition | Violation:
         raise InputError("decompose requires a tree")
     path = tuple(path)
     _validate_diametrical_path(t, path)
-    return _decompose(t, path)
-
-
-def _decompose(t: Graph, path: tuple[int, ...]) -> LimbDecomposition | Violation:
-    """`decompose` on a path already known to be a longest path of tree t."""
     on_spine = set(path)
     limbs: list[Limb] = []
     limb_vertices: list[tuple[int, ...]] = []
@@ -264,40 +262,27 @@ def check_spacing(dec: LimbDecomposition) -> Violation | None:
 def classify_tree(t: Graph) -> Verdict:
     """Structural diametricality verdict for a tree, by the stated rule.
 
-    Accepts when some longest path decomposes into legal limbs, strictly
-    fewer than half the diameter of them, with all spine gaps satisfied.
-    On rejection the reason is the first failure seen on the first longest
-    path examined.  The rule is neither sufficient nor necessary for
-    diametricality (see the module docstring); `is_diametrical_exact`
-    decides it exactly.
+    Accepts when the tree's first longest path decomposes into legal limbs,
+    strictly fewer than half the diameter of them, with all spine gaps
+    satisfied; every other longest path gets the same verdict (see the module
+    docstring).  On rejection the reason is the first failure on that path.
+    The rule is neither sufficient nor necessary for diametricality;
+    `is_diametrical_exact` decides it exactly.
     """
     if not is_tree(t):
         raise InputError("classify_tree requires a tree")
     if t.n == 1:
         return Verdict(False, reason=Violation(SINGLE_VERTEX))
-    first_violation: Violation | None = None
-
-    def note(v: Violation):
-        nonlocal first_violation
-        if first_violation is None:
-            first_violation = v
-
-    paths = diametrical_paths(t)
-    d = len(paths[0]) - 1
-    for path in paths:
-        dec = _decompose(t, path)
-        if isinstance(dec, Violation):
-            note(dec)
-            continue
-        if 2 * len(dec.limbs) >= d:
-            note(Violation(TOO_MANY_LIMBS, count=len(dec.limbs), required=d))
-            continue
-        bad = check_spacing(dec)
-        if bad is not None:
-            note(bad)
-            continue
-        return Verdict(True, witness=dec)
-    return Verdict(False, reason=first_violation)
+    dec = decompose(t, longest_path(t))
+    if isinstance(dec, Violation):
+        return Verdict(False, reason=dec)
+    d = dec.diameter()
+    if 2 * len(dec.limbs) >= d:
+        return Verdict(False, reason=Violation(TOO_MANY_LIMBS, count=len(dec.limbs), required=d))
+    bad = check_spacing(dec)
+    if bad is not None:
+        return Verdict(False, reason=bad)
+    return Verdict(True, witness=dec)
 
 
 def reconstruct_witness(dec: LimbDecomposition) -> Graph:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError
@@ -34,6 +34,15 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
+
+    @cached_property
+    def _metrics(self) -> Metrics:
+        rows = tuple(tuple(bfs_distances(self, s)) for s in range(self.n))
+        connected = all(d != UNREACHABLE for d in rows[0]) if self.n > 0 else True
+        if not connected:
+            return Metrics(rows, False, None, None, None)
+        ecc = tuple(max(row) for row in rows)
+        return Metrics(rows, True, ecc, min(ecc), max(ecc))
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -84,15 +93,9 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-@lru_cache(maxsize=None)
 def metrics(g: Graph) -> Metrics:
-    """BFS-exact metrics of `g`."""
-    rows = tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
-    connected = all(d != UNREACHABLE for d in rows[0]) if g.n > 0 else True
-    if not connected:
-        return Metrics(rows, False, None, None, None)
-    ecc = tuple(max(row) for row in rows)
-    return Metrics(rows, True, ecc, min(ecc), max(ecc))
+    """BFS-exact metrics of `g`, kept on `g` and freed with it."""
+    return g._metrics
 
 
 def is_connected(g: Graph) -> bool:

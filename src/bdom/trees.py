@@ -20,7 +20,7 @@ from typing import Iterator
 from .errors import CapabilityError, InputError
 from .graphs import Graph, bfs_distances, build_graph, is_connected
 
-EXHAUSTIVE_TREE_CAP = 10
+EXHAUSTIVE_TREE_CAP = 12
 
 
 def is_tree(g: Graph) -> bool:
@@ -44,17 +44,26 @@ def tree_centers(g: Graph) -> tuple[int, ...]:
     return tuple(v for v, e in enumerate(ecc) if e == radius)
 
 
-def _rooted_canonical(g: Graph, v: int, parent: int) -> str:
-    children = sorted(
-        _rooted_canonical(g, w, v) for w in g.adjacency[v] if w != parent
-    )
-    return "(" + "".join(children) + ")"
+def _rooted_canonical(g: Graph, root: int) -> str:
+    """The children's strings of each vertex, sorted, in parentheses; built
+    children before parents, in reverse BFS order, so depth costs no stack."""
+    parent = [-1] * g.n
+    order = [root]
+    for v in order:
+        for w in g.adjacency[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    code: dict[int, str] = {}
+    for v in reversed(order):
+        code[v] = "(" + "".join(sorted([code.pop(w) for w in g.adjacency[v] if w != parent[v]])) + ")"
+    return code[root]
 
 
 def canonical_form(g: Graph) -> str:
     """Isomorphism-invariant string for a tree (equal iff trees isomorphic)."""
     centers = tree_centers(g)
-    return min(_rooted_canonical(g, c, -1) for c in centers)
+    return min(_rooted_canonical(g, c) for c in centers)
 
 
 def _level_sequences(n: int) -> Iterator[list[int]]:

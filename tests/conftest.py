@@ -14,6 +14,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bdom.broadcasts import Broadcast, is_minimal_dominating_broadcast, is_minimal_dominating_set
+from bdom.diametrical import (
+    SINGLE_VERTEX,
+    TOO_MANY_LIMBS,
+    LimbDecomposition,
+    Verdict,
+    Violation,
+    check_spacing,
+    decompose,
+)
 from bdom.graphs import Graph, build_graph, metrics
 
 
@@ -59,8 +68,9 @@ def brute_minimal_dominating_sets(g: Graph):
 
 
 def reference_longest_paths(t: Graph):
-    """All-pairs reference for `diametrical_paths`: the pairs u < v at
-    distance diam, in endpoint order, each walked from v down dist[u]."""
+    """All-pairs reference for the longest paths of a tree: the pairs u < v
+    at distance diam, in endpoint order, each walked from v down dist[u];
+    `longest_path` is the first of them."""
     m = metrics(t)
     paths = []
     for u in range(t.n):
@@ -78,3 +88,27 @@ def reference_centers(t: Graph):
     """All-pairs reference for `tree_centers`: the vertices of least eccentricity."""
     m = metrics(t)
     return tuple(v for v, e in enumerate(m.ecc) if e == m.radius)
+
+
+def reference_rule(t: Graph, path):
+    """The stated rule on one longest path: the decomposition when the path
+    passes, else its first violation."""
+    dec = decompose(t, path)
+    if isinstance(dec, Violation):
+        return dec
+    d = dec.diameter()
+    if 2 * len(dec.limbs) >= d:
+        return Violation(TOO_MANY_LIMBS, count=len(dec.limbs), required=d)
+    return check_spacing(dec) or dec
+
+
+def reference_classify(t: Graph) -> dict:
+    """All-paths reference for `classify_tree`, as `to_json_dict`: accept on
+    the first longest path in endpoint order that passes the rule, else
+    reject with the first violation on the first path."""
+    if t.n == 1:
+        return Verdict(False, reason=Violation(SINGLE_VERTEX)).to_json_dict()
+    outcomes = [reference_rule(t, p) for p in reference_longest_paths(t)]
+    passed = [o for o in outcomes if isinstance(o, LimbDecomposition)]
+    verdict = Verdict(True, witness=passed[0]) if passed else Verdict(False, reason=outcomes[0])
+    return verdict.to_json_dict()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import reference_centers, reference_longest_paths
+from conftest import reference_centers, reference_classify, reference_longest_paths, reference_rule
 from bdom.diametrical import (
     ILLEGAL_LIMB_SHAPE,
     LIMB_TOO_DEEP,
@@ -15,8 +15,8 @@ from bdom.diametrical import (
     classify_tree,
     concatenate,
     decompose,
-    diametrical_paths,
     is_diametrical_exact,
+    longest_path,
     witness_matches,
 )
 from bdom.errors import InputError
@@ -47,22 +47,21 @@ def right_tree():
     return build_graph(15, edges)
 
 
-def test_diametrical_paths_path():
-    assert diametrical_paths(gen_path(5)) == [(0, 1, 2, 3, 4)]
+def test_longest_path_path():
+    assert longest_path(gen_path(5)) == (0, 1, 2, 3, 4)
 
 
-def test_diametrical_paths_star():
-    assert len(diametrical_paths(gen_star(3))) == 3
+def test_longest_path_star():
+    assert longest_path(gen_star(3)) == (1, 0, 2)
 
 
-def test_diametrical_paths_left_tree(left_tree):
-    paths = diametrical_paths(left_tree)
-    assert tuple(range(13)) in paths
+def test_longest_path_left_tree(left_tree):
+    assert longest_path(left_tree) == tuple(range(13))
 
 
-def test_diametrical_paths_rejects_non_tree():
+def test_longest_path_rejects_non_tree():
     with pytest.raises(InputError):
-        diametrical_paths(gen_cycle(4))
+        longest_path(gen_cycle(4))
 
 
 def test_decompose_left_tree(left_tree):
@@ -171,7 +170,7 @@ def test_concatenate_diametrical_pair():
 def test_concatenate_through_path():
     t = gen_lobster(LobsterSpec(3, ((1, "C"),)))
     mid = concatenate(t, (0, 1, 2, 3), gen_path(4), (0, 1, 2, 3))
-    full = concatenate(mid, diametrical_paths(mid)[0], t, (0, 1, 2, 3))
+    full = concatenate(mid, longest_path(mid), t, (0, 1, 2, 3))
     assert metrics(full).diameter == 9
     assert classify_tree(full).diametrical and is_diametrical_exact(full)
 
@@ -181,7 +180,7 @@ def test_concatenate_diameter_additivity():
     pool = [t for t in enumerate_trees(7) if t.n >= 2]
     for _ in range(15):
         a, b = rng.choice(pool), rng.choice(pool)
-        pa, pb = diametrical_paths(a)[0], diametrical_paths(b)[0]
+        pa, pb = longest_path(a), longest_path(b)
         g = concatenate(a, pa, b, pb)
         assert metrics(g).diameter == (len(pa) - 1) + (len(pb) - 1)
         assert g.n == a.n + b.n - 1
@@ -219,7 +218,7 @@ def test_classifier_rule_closed_under_concatenation():
     pool = [t for t in enumerate_trees(8) if t.n >= 2 and classify_tree(t).diametrical]
     for _ in range(20):
         a, b = rng.choice(pool), rng.choice(pool)
-        g = concatenate(a, diametrical_paths(a)[0], b, diametrical_paths(b)[0])
+        g = concatenate(a, longest_path(a), b, longest_path(b))
         assert classify_tree(g).diametrical
 
 
@@ -242,7 +241,7 @@ def test_mixed_limbs_at_one_spine_vertex_can_still_be_diametrical():
     # structural test's necessity
     edges = [(i, i + 1) for i in range(8)] + [(4, 9), (9, 10), (4, 11)]
     t = build_graph(12, edges)
-    assert diametrical_paths(t) == [tuple(range(9))]
+    assert reference_longest_paths(t) == [tuple(range(9))]
     dec = decompose(t, range(9))
     assert isinstance(dec, Violation)
     assert dec.kind == ILLEGAL_LIMB_SHAPE and dec.at == 4
@@ -285,7 +284,7 @@ def _small_and_random_trees():
 
 def test_longest_paths_and_centers_equal_all_pairs_reference():
     for t in _small_and_random_trees():
-        assert diametrical_paths(t) == reference_longest_paths(t), t.edges()
+        assert longest_path(t) == reference_longest_paths(t)[0], t.edges()
         assert tree_centers(t) == reference_centers(t), t.edges()
 
 
@@ -297,17 +296,52 @@ def test_tree_eccentricities_match_networkx():
         ecc = nx.eccentricity(h)
         assert eccentricities(t) == [ecc[v] for v in range(t.n)], t.edges()
         assert tree_centers(t) == tuple(sorted(nx.center(h))), t.edges()
-        assert len(diametrical_paths(t)[0]) - 1 == nx.diameter(h), t.edges()
+        assert len(longest_path(t)) - 1 == nx.diameter(h), t.edges()
+
+
+def _spider(legs: int):
+    """`legs` paths of two edges from the center 0."""
+    return build_graph(
+        2 * legs + 1, [(0, i) for i in range(1, legs + 1)] + [(i, i + legs) for i in range(1, legs + 1)]
+    )
 
 
 def test_tree_questions_leave_the_all_pairs_cache_alone():
-    legs = 40
-    spider = build_graph(
-        2 * legs + 1, [(0, i) for i in range(1, legs + 1)] + [(i, i + legs) for i in range(1, legs + 1)]
-    )
-    for t in (gen_path(1500), spider):
-        before = metrics.cache_info()
+    for t in (gen_path(1500), _spider(40)):
         classify_tree(t)
-        diametrical_paths(t)
+        longest_path(t)
         tree_centers(t)
-        assert metrics.cache_info() == before
+        canonical_form(t)
+        assert vars(t).keys() == {"n", "adjacency"}  # no metrics table cached on t
+
+
+def _random_lobsters(count: int, seed: int):
+    """Randomly relabelled lobsters with spines of 2-19 edges and random
+    A/B/C limbs one to four positions apart."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randrange(2, 20)
+        limbs, pos = [], rng.randrange(1, 4)
+        while pos < d:
+            limbs.append((pos, rng.choice("ABC")))
+            pos += rng.randrange(1, 5)
+        t = gen_lobster(LobsterSpec(d, tuple(limbs)))
+        perm = rng.sample(range(t.n), t.n)
+        yield build_graph(t.n, [(perm[u], perm[v]) for u, v in t.edges()])
+
+
+def test_one_longest_path_decides():
+    trees = list(enumerate_trees(12)) + list(_random_lobsters(1500, 8)) + [_spider(k) for k in (20, 41, 60)]
+    accepted = 0
+    for t in trees:
+        verdicts = {isinstance(reference_rule(t, p), LimbDecomposition) for p in reference_longest_paths(t)}
+        assert len(verdicts) == 1, t.edges()
+        assert classify_tree(t).to_json_dict() == reference_classify(t), t.edges()
+        accepted += verdicts == {True}
+    assert accepted > 200
+
+
+def test_witness_of_a_deep_path_matches():
+    # a 1000-vertex path is deeper than the default recursion limit
+    t = gen_path(1000)
+    assert witness_matches(t, classify_tree(t).witness)

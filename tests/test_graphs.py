@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +83,16 @@ def test_metrics_symmetry_and_triangle(fig_graph):
             assert m.dist[i][j] == m.dist[j][i]
             for k in range(n):
                 assert m.dist[i][j] <= m.dist[i][k] + m.dist[k][j]
+
+
+def test_metrics_are_freed_with_their_graph():
+    g = gen_cycle(30)
+    m = metrics(g)
+    assert metrics(g) is m
+    table = weakref.ref(m)
+    del g, m
+    gc.collect()
+    assert table() is None
 
 
 def test_product_square():

@@ -16,8 +16,8 @@ from bdom.trees import (
     tree_centers,
 )
 
-# classes of trees on 1..10 vertices
-TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+# classes of trees on 1..12 vertices (OEIS A000055)
+TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
 
 
 def counts_by_size(max_n):
@@ -36,7 +36,7 @@ def test_counts_up_to_seven():
 
 
 def test_counts_up_to_ten():
-    assert counts_by_size(10) == TREE_COUNTS
+    assert counts_by_size(12) == TREE_COUNTS
 
 
 def test_single_vertex_tree():
@@ -68,7 +68,7 @@ def test_enumeration_deterministic():
 
 def test_enumeration_cap():
     with pytest.raises(CapabilityError):
-        list(enumerate_trees(11))
+        list(enumerate_trees(13))
     with pytest.raises(InputError):
         list(enumerate_trees(0))
 
@@ -104,3 +104,12 @@ def test_canonical_form_relabeling_invariant(n, data):
 
 def test_canonical_form_distinguishes():
     assert canonical_form(gen_path(4)) != canonical_form(gen_star(3))
+
+
+def test_canonical_form_of_a_deep_tree():
+    # 3000 levels, far deeper than the default recursion limit
+    n = 3000
+    perm = random.Random(6).sample(range(n), n)
+    relabeled = build_graph(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
+    assert canonical_form(relabeled) == canonical_form(gen_path(n))
+    assert len(canonical_form(gen_path(n))) == 2 * n
