@@ -24,12 +24,22 @@ hi.  The callers differ only in their windows and in which optimum they keep:
 each witness is the lexicographically smallest optimal broadcast or set.  The
 diametricality oracle `beats_diameter` decides rather than optimizes: its
 window is [diam + 1, |E|], and its first find closes it.
+
+On a vertex-transitive graph, Gamma_b searches one orbit: every optimum has
+an image under some automorphism with its largest strength s0 at vertex 0,
+so one search per s0, with vertex 0 fixed at s0 and every cap at most s0,
+finds the optimum; a search over [opt, opt] that stops at its first find
+then gives the witness.  The solver proves transitivity itself, by finding
+automorphisms that move vertex 0 to every vertex, and checks each one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 from .broadcasts import (
@@ -98,13 +108,37 @@ def _check_witness(invariant: str, ok: bool) -> None:
         raise AssertionError(f"{invariant} witness rejected by the predicate layer")
 
 
+class _Rows:
+    """built[v] = (ball, cand) for the strengths 0..tops[v] of vertex v, or
+    None until the search first reaches v: ball[s] holds the vertices within
+    distance s of v, cand[s] the spots where a broadcaster of strength s at
+    v may keep its private neighbor."""
+
+    def __init__(self, dist: tuple[tuple[int, ...], ...], tops: tuple[int, ...]):
+        self.dist = dist
+        self.tops = tops
+        self.built: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * len(tops)
+
+    def build(self, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        top = self.tops[v]
+        spheres = [0] * (top + 1)
+        for u, d in enumerate(self.dist[v]):
+            if d <= top:
+                spheres[d] |= 1 << u
+        ball = tuple(accumulate(spheres, operator.or_))
+        # a private neighbor must sit at distance exactly s, except that a
+        # strength-1 broadcaster may also be its own private neighbor
+        spheres[1] |= 1 << v
+        row = self.built[v] = (ball, tuple(spheres))
+        return row
+
+
 @dataclass(frozen=True)
 class _SearchContext:
     n: int
     edge_count: int
     caps: tuple[int, ...]  # caps[v]: the largest strength searched at v
-    ball: tuple[tuple[int, ...], ...]  # ball[v][s]: vertices within distance s of v
-    cand: tuple[tuple[int, ...], ...]  # cand[v][s]: allowed private-neighbor spots
+    rows: _Rows  # built up to strengths at least caps[v]
     suffix_cover: tuple[int, ...]  # union of the balls of vertices >= i at their caps
     suffix_strength: tuple[int, ...]  # sum of the caps of vertices >= i
     cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= caps[v]
@@ -117,42 +151,40 @@ def _search_context(g: Graph, top: int) -> _SearchContext:
     eccentricity 0, still forms the set {v}, so its cap is 1.
     """
     m = metrics(g)
-    n = g.n
-    dist = m.dist
     caps = tuple(min(max(e, 1), top) for e in m.ecc)
-    ball = []
-    cand = []
+    return _with_caps(g, _Rows(m.dist, caps), caps)
+
+
+def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
+    """A context on `rows` whose vertices are searched up to `caps`, each at
+    most the row's top.  Reads each vertex's distance row once: its layer
+    sizes give the cover ratio, and its ball at the cap the suffix cover."""
+    m = metrics(g)
+    n = g.n
     num, den = 0, 1  # largest |ball(v, s)| / s
-    for v in range(n):
-        by_s = [1 << v]
-        spheres = [1 << v]
-        for s in range(1, caps[v] + 1):
-            sphere = sum(1 << u for u in range(n) if dist[v][u] == s)
-            spheres.append(sphere)
-            by_s.append(by_s[-1] | sphere)
-            size = by_s[-1].bit_count()
-            if size * den > num * s:
-                num, den = size, s
-        ball.append(tuple(by_s))
-        # a private neighbor must sit at distance exactly s, except that a
-        # strength-1 broadcaster may also be its own private neighbor
-        cand.append(
-            tuple(
-                spheres[s] | ((1 << v) if s == 1 else 0)
-                for s in range(len(spheres))
-            )
-        )
     suffix_cover = [0] * (n + 1)
     suffix_strength = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
-        suffix_cover[v] = suffix_cover[v + 1] | ball[v][caps[v]]
-        suffix_strength[v] = suffix_strength[v + 1] + caps[v]
+        row, cap = m.dist[v], caps[v]
+        layers = Counter(row)
+        size = 1
+        for s in range(1, cap + 1):
+            if n * den <= num * s:
+                break  # no ball of radius s or more holds over n vertices
+            size += layers[s]
+            if size * den > num * s:
+                num, den = size, s
+        if cap >= m.ecc[v]:
+            ball = (1 << n) - 1
+        else:
+            ball = sum(1 << u for u, d in enumerate(row) if d <= cap)
+        suffix_cover[v] = suffix_cover[v + 1] | ball
+        suffix_strength[v] = suffix_strength[v + 1] + cap
     return _SearchContext(
         n,
         g.edge_count(),
         caps,
-        tuple(ball),
-        tuple(cand),
+        rows,
         tuple(suffix_cover),
         tuple(suffix_strength),
         (num, den),
@@ -172,19 +204,22 @@ def _search_minimal_broadcasts(
     window: list[int],
     nodes: _Nodes,
     on_found: Callable[[int, tuple[int, ...]], None],
+    s0: int = 0,
 ) -> None:
     """DFS over strength vectors in lexicographic order.
 
     Calls on_found(cost, strengths) for every minimal dominating broadcast
     whose cost lies in the window [lo, hi] = `window`, with hi at most the
     edge count.  on_found may narrow the window by raising lo; raising it
-    past hi closes the window and ends the search.
+    past hi closes the window and ends the search.  With s0 >= 1, vertex 0
+    is fixed at strength s0 (at most its cap) and the search starts from the
+    state after it.
     """
     n = ctx.n
     strengths = [0] * n
     support: list[int] = []  # private-neighbor spots of the broadcasters so far
-    ball = ctx.ball
-    cand = ctx.cand
+    rows = ctx.rows.built
+    build_row = ctx.rows.build
     caps = ctx.caps
     suffix_cover = ctx.suffix_cover
     suffix_strength = ctx.suffix_strength
@@ -218,8 +253,10 @@ def _search_minimal_broadcasts(
             if hi < lo:
                 return
             first = lo - rest - total
-        balls = ball[i]
-        cands = cand[i]
+        row = rows[i]
+        if row is None:
+            row = build_row(i)
+        balls, cands = row
         top = hi - total
         if top > caps[i]:
             top = caps[i]
@@ -258,16 +295,24 @@ def _search_minimal_broadcasts(
                 return
             first = lo - rest - total
 
+    start, unheard, exactly_one = 0, (1 << n) - 1, 0
+    if s0:
+        balls, cands = rows[0] or build_row(0)
+        start, unheard, exactly_one = 1, unheard ^ balls[s0], balls[s0]
+        strengths[0] = s0
+        support.append(cands[s0])
     try:
-        rec(0, 0, (1 << n) - 1, 0)
+        rec(start, s0, unheard, exactly_one)
     finally:
         nodes.count = count
 
 
-def _search(ctx: _SearchContext, window: list[int], nodes: _Nodes, on_found) -> None:
+def _search(
+    ctx: _SearchContext, window: list[int], nodes: _Nodes, on_found, s0: int = 0
+) -> None:
     """Run the search; a budget error also reports the size of the space."""
     try:
-        _search_minimal_broadcasts(ctx, window, nodes, on_found)
+        _search_minimal_broadcasts(ctx, window, nodes, on_found, s0)
     except CapabilityError as exc:
         logsize = sum(math.log10(c + 1) for c in ctx.caps)
         raise CapabilityError(
@@ -294,6 +339,112 @@ def enumerate_minimal_broadcasts(
     return found
 
 
+# Distance comparisons the automorphism search may make on one graph before
+# it gives up and the plain search runs.
+_AUTOMORPHISM_CHECK_CAP = 1_000_000
+
+
+def _vertex_transitive(g: Graph) -> bool:
+    """Whether automorphisms found and checked here move vertex 0 to every
+    vertex.  False when g is not regular, when its vertices differ in
+    distance profile, when no automorphism sends 0 to some vertex, or when
+    the search for one exceeds _AUTOMORPHISM_CHECK_CAP."""
+    n = g.n
+    adjacency = g.adjacency
+    if len({len(a) for a in adjacency}) != 1:
+        return False
+    dist = metrics(g).dist
+    profile = sorted(dist[0])
+    if any(sorted(row) != profile for row in dist):
+        return False
+    # vertices in BFS order from 0, each after a neighbor one step nearer 0
+    order = sorted(range(n), key=dist[0].__getitem__)
+    parent = [next((w for w in adjacency[u] if dist[0][w] < dist[0][u]), 0) for u in range(n)]
+    checks = _AUTOMORPHISM_CHECK_CAP
+
+    def map_zero_to(v: int) -> list[int] | None:
+        """A distance-preserving bijection that sends 0 to v, by backtracking
+        over the neighbors of each vertex's parent's image; None when there
+        is none or the check cap runs out."""
+        nonlocal checks
+        image = [0] * n
+        used = [False] * n
+        image[0], used[v] = v, True
+        pending: list = [None] * n  # the candidates left at each depth
+        depth = 1
+        while depth < n:
+            u = order[depth]
+            if pending[depth] is None:
+                pending[depth] = iter(adjacency[image[parent[u]]])
+            du, placed = dist[u], order[:depth]
+            for w in pending[depth]:
+                if used[w]:
+                    continue
+                checks -= depth
+                if checks < 0:
+                    return None
+                dw = dist[w]
+                if all(dw[image[x]] == du[x] for x in placed):
+                    image[u], used[w] = w, True
+                    depth += 1
+                    break
+            else:
+                pending[depth] = None
+                depth -= 1
+                if depth == 0:
+                    return None
+                used[image[order[depth]]] = False
+        return image
+
+    edges = g.edges()
+    neighbors = [set(a) for a in adjacency]
+    maps: list[list[int]] = []
+    orbit = {0}
+    for v in range(1, n):
+        if v in orbit:
+            continue
+        sigma = map_zero_to(v)
+        if sigma is None:
+            return False
+        # the search preserves distances by construction; check the result
+        # independently: a bijection that sends edges to edges
+        if len(set(sigma)) != n or any(sigma[b] not in neighbors[sigma[a]] for a, b in edges):
+            return False
+        maps.append(sigma)
+        frontier = list(orbit)
+        while frontier:
+            x = frontier.pop()
+            for m in maps:
+                if m[x] not in orbit:
+                    orbit.add(m[x])
+                    frontier.append(m[x])
+    return len(orbit) == n
+
+
+def _orbit_optimum(g: Graph, ctx: _SearchContext, nodes: _Nodes) -> int:
+    """Gamma_b of a vertex-transitive graph, searched on one orbit.
+
+    An automorphism moves a largest strength of any optimum to vertex 0, so
+    the optimum is the best over s0 of the broadcasts with s0 at vertex 0 and
+    at most s0 elsewhere: one search per s0 from the top cap down, each on
+    the same rows with caps min(cap, s0), whose window asks for more than
+    the best so far.
+    """
+    best = 0
+    window = [0, ctx.edge_count]
+
+    def on_found(c, _vec):
+        nonlocal best
+        best = c
+        window[0] = c + 1
+
+    for s0 in range(max(ctx.caps), 0, -1):
+        caps = tuple(min(c, s0) for c in ctx.caps)
+        window[:] = [max(best + 1, s0), ctx.edge_count]
+        _search(_with_caps(g, ctx.rows, caps), window, nodes, on_found, s0)
+    return best
+
+
 def _solve(
     g: Graph, invariant: str, top: int, budget: SolverBudget, maximize: bool
 ) -> InvariantReport:
@@ -316,6 +467,10 @@ def _solve(
         # (a peripheral vertex attains the diameter); a lone vertex has no
         # edge but forms the set {v}
         window = [max(ctx.caps), max(ctx.edge_count, 1)]
+        if not sets and _vertex_transitive(g):
+            # with the optimum known, the first find in [opt, opt] is the
+            # lexicographically smallest optimal broadcast
+            window[:] = [_orbit_optimum(g, ctx, nodes)] * 2
 
         def on_found(c, vec):
             found.append((c, vec))

@@ -8,7 +8,7 @@ import pytest
 
 from bdom.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main, parse_family
 from bdom.errors import InputError
-from bdom.graphs import gen_lobster, gen_torus, parse_edge_list, serialize
+from bdom.graphs import LobsterSpec, gen_lobster, gen_torus, parse_edge_list, serialize
 
 
 def run(capsys, *argv):
@@ -213,6 +213,27 @@ def test_budget_flag_overrides_env(capsys, monkeypatch):
         "--budget-nodes", "100000",
     )
     assert code == EXIT_OK and json.loads(out)["value"] == 4
+
+
+def test_budget_ends_a_large_search_before_its_tables(capsys):
+    # the search builds a vertex's ball rows when it first reaches the vertex,
+    # so ten nodes cost ten rows, not the 1000 x 999 of the whole path
+    code, out, err = run(
+        capsys, "invariant", "--family", "path:1000", "--which", "Gamma_b", "--budget-nodes", "10",
+    )
+    assert code == EXIT_BUDGET and "node budget" in err and out == ""
+
+
+def test_budget_ends_a_large_oracle_search(tmp_path, capsys):
+    # 3000 vertices: a path of 2999 with a leaf at its middle.  A bare path
+    # would need no node: its edge count is its diameter, so no broadcast
+    # can beat the diameter and the oracle's window is empty.
+    path = tmp_path / "tree.edges"
+    path.write_text(serialize(gen_lobster(LobsterSpec(2998, ((1499, "C"),)))))
+    code, out, err = run(
+        capsys, "classify", "--graph", str(path), "--oracle", "--budget-nodes", "10",
+    )
+    assert code == EXIT_BUDGET and "node budget" in err and out == ""
 
 
 def test_verify_parallel_matches_serial(capsys):

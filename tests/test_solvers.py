@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_minimal_broadcasts, brute_minimal_dominating_sets
 
+from bdom import solvers
 from bdom.broadcasts import (
     Broadcast,
     cost,
@@ -19,6 +21,7 @@ from bdom.broadcasts import (
 from bdom.errors import CapabilityError, InputError
 from bdom.graphs import (
     build_graph,
+    cartesian_product,
     gen_cycle,
     gen_grid,
     gen_path,
@@ -284,36 +287,170 @@ def test_determinism(fig_graph):
     assert a == b
 
 
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+PETERSEN = build_graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, 5 + i) for i in range(5)],
+)
+# 3-regular, and its only automorphism is the identity (LCF [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2])
+FRUCHT = build_graph(
+    12,
+    [(i, (i + 1) % 12) for i in range(12)]
+    + [(i, (i + d) % 12) for i, d in enumerate((-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2))],
+)
+# 4-regular with one distance profile at every vertex, yet not vertex-transitive:
+# the automorphism search runs and cannot close the orbit of vertex 0
+EVEN_PROFILE_NOT_TRANSITIVE = build_graph(
+    7,
+    [(a, b) for a in (0, 1, 2) for b in (3, 4, 5, 6)] + [(3, 6), (4, 5)],
+)
+SYMMETRIC = (
+    [gen_cycle(n) for n in range(3, 17)]
+    + [gen_torus(m, n) for m, n in [(3, 3), (3, 4), (3, 5), (4, 4), (4, 5)]]
+)
+# vertex-transitive beyond cycles and tori: the cube, a prism and K_{3,3}
+OTHER_TRANSITIVE = [
+    cartesian_product(gen_cycle(4), gen_path(2)),
+    cartesian_product(gen_cycle(5), gen_path(2)),
+    build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+]
+ORBIT_CUT_GRAPHS = (
+    SYMMETRIC + [relabelled(g, 9) for g in SYMMETRIC] + OTHER_TRANSITIVE + [PETERSEN, FRUCHT]
+)
+
+
+def plain_upper_gamma_b(g, monkeypatch):
+    """Gamma_b from the search over every vector, the orbit cut turned off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_vertex_transitive", lambda _g: False)
+        return solve_upper_gamma_b(g)
+
+
+@pytest.mark.parametrize("g", ORBIT_CUT_GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_orbit_cut_equals_plain_search(g, monkeypatch):
+    cut, plain = solve_upper_gamma_b(g), plain_upper_gamma_b(g, monkeypatch)
+    assert (cut.value, cut.witness_broadcast) == (plain.value, plain.witness_broadcast)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_cycle(n) for n in range(3, 8)] + [gen_torus(3, 3), relabelled(gen_torus(3, 3), 4), PETERSEN],
+    ids=lambda g: f"n{g.n}m{g.edge_count()}",
+)
+def test_orbit_cut_equals_brute_force(g):
+    assert solvers._vertex_transitive(g)
+    casts = brute_minimal_broadcasts(g)
+    top = max(cost(b) for b in casts)
+    rep = solve_upper_gamma_b(g)
+    assert rep.value == top
+    assert rep.witness_broadcast == min((b for b in casts if cost(b) == top), key=lambda b: b.strengths)
+
+
+@pytest.mark.parametrize("g", [relabelled(gen_cycle(20), 1), relabelled(gen_torus(4, 5), 1)])
+def test_orbit_cut_fires_on_relabelled_inputs(g, monkeypatch):
+    assert solvers._vertex_transitive(g)
+    cut, plain = solve_upper_gamma_b(g), plain_upper_gamma_b(g, monkeypatch)
+    assert cut.value == plain.value
+    assert cut.nodes * 5 < plain.nodes
+
+
+@pytest.mark.parametrize(
+    "g",
+    [FRUCHT, EVEN_PROFILE_NOT_TRANSITIVE, relabelled(EVEN_PROFILE_NOT_TRANSITIVE, 2),
+     gen_path(8), gen_grid(3, 4), gen_star(4)],
+    ids=lambda g: f"n{g.n}m{g.edge_count()}",
+)
+def test_orbit_cut_does_not_fire(g, monkeypatch):
+    assert not solvers._vertex_transitive(g)
+    assert solve_upper_gamma_b(g) == plain_upper_gamma_b(g, monkeypatch)
+
+
+def test_transitivity_verdict_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    rng = random.Random(4)
+    graphs = [nx.circulant_graph(n, rng.sample(range(1, n // 2 + 1), rng.randint(1, 2)))
+              for n in range(5, 13) for _ in range(3)]
+    graphs += [nx.random_regular_graph(3, n, seed=rng.randrange(10**6)) for n in (6, 8, 10, 12) * 4]
+    graphs += [nx.moebius_kantor_graph(), nx.heawood_graph(), nx.frucht_graph()]
+    verdicts = []
+    for h in graphs:
+        if not nx.is_connected(h):
+            continue
+        h = nx.convert_node_labels_to_integers(h)
+        g = relabelled(build_graph(h.number_of_nodes(), h.edges()), rng.randrange(10**6))
+        orbit = {m[0] for m in GraphMatcher(h, h).isomorphisms_iter()}
+        verdicts.append(len(orbit) == g.n)
+        assert solvers._vertex_transitive(g) == verdicts[-1], sorted(g.edges())
+    assert True in verdicts and False in verdicts
+
+
+def test_automorphism_search_past_its_cap_runs_the_plain_search(monkeypatch):
+    g = relabelled(gen_cycle(9), 3)
+    plain = plain_upper_gamma_b(g, monkeypatch)
+    monkeypatch.setattr(solvers, "_AUTOMORPHISM_CHECK_CAP", 3)
+    assert not solvers._vertex_transitive(g)
+    assert solve_upper_gamma_b(g) == plain
+
+
+def test_rows_are_built_where_the_search_goes():
+    # ten nodes reach at most ten vertices, so at most ten of the 1000 rows exist
+    g = gen_path(1000)
+    ctx = solvers._search_context(g, g.n)
+    with pytest.raises(CapabilityError, match="node budget"):
+        solvers._search(ctx, [0, ctx.edge_count], solvers._Nodes(10), lambda _c, _vec: None)
+    assert sum(row is not None for row in ctx.rows.built) <= 10
+
+
 WITNESS_CHECK_UNDER_O = """
 import sys
 from bdom import solvers
-from bdom.graphs import gen_path
+from bdom.graphs import gen_cycle, gen_path
 
-def bad_search(ctx, window, nodes, on_found):
-    # (1, 1, 1, 0) dominates P4, as a broadcast and as the set of vertices
-    # 0, 1 and 2, but vertex 1 keeps no private neighbour
-    on_found(3, (1, 1, 1, 0))
+def bad_search(ctx, window, nodes, on_found, s0=0):
+    # (1, 1, 1, 0, ...) dominates P4 and C5, as a broadcast and as the set of
+    # vertices 0, 1 and 2, but vertex 1 keeps no private neighbour
+    on_found(3, (1, 1, 1) + (0,) * (ctx.n - 3))
 
+g = {graph}
+print("transitive", solvers._vertex_transitive(g))
 solvers._search_minimal_broadcasts = bad_search
 try:
-    solvers.{solver}(gen_path(4))
+    solvers.{solver}(g)
 except AssertionError as exc:
     print("optimize", sys.flags.optimize, "rejected:", exc)
 """
 
 
 @pytest.mark.parametrize(
-    "solver",
-    ["solve_gamma", "solve_upper_gamma", "solve_gamma_b", "solve_upper_gamma_b", "beats_diameter"],
+    "solver, graph",
+    [
+        pytest.param(solver, "gen_path(4)", id=solver)
+        for solver in (
+            "solve_gamma", "solve_upper_gamma", "solve_gamma_b", "solve_upper_gamma_b",
+            "beats_diameter",
+        )
+    ]
+    # vertex-transitive: the orbit rounds, then the witness re-search
+    + [pytest.param("solve_upper_gamma_b", "gen_cycle(5)", id="solve_upper_gamma_b-C5")],
 )
-def test_witness_check_survives_optimize_flag(solver):
+def test_witness_check_survives_optimize_flag(solver, graph):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    script = WITNESS_CHECK_UNDER_O.format(solver=solver)
+    script = WITNESS_CHECK_UNDER_O.format(solver=solver, graph=graph)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+    assert f"transitive {graph.startswith('gen_cycle')}" in proc.stdout
     assert "optimize 1 rejected:" in proc.stdout
     assert "witness rejected by the predicate layer" in proc.stdout
 
