@@ -102,7 +102,10 @@ def _load_graph(path: str) -> Graph:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc.strerror}") from None
         return
     try:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -125,14 +128,16 @@ def cmd_invariant(args) -> int:
     else:
         g = _load_graph(args.graph)
 
-    if args.method != "exact" and family is None:
-        raise InputError("closed-form evaluation needs --family, not --graph")
+    if args.method != "exact":
+        if family is None:
+            raise InputError("closed-form evaluation needs --family, not --graph")
+        # a formula that cannot answer refuses the run before the solver starts
+        closed = formulas.evaluate(family, args.which, m, n).to_json_dict()
     if args.method == "closed-form":
-        out = formulas.evaluate(family, args.which, m, n).to_json_dict()
+        out = closed
     else:
         out = INVARIANT_SOLVERS[args.which](g, budget).to_json_dict()
     if args.method == "both":
-        closed = formulas.evaluate(family, args.which, m, n).to_json_dict()
         out = {
             "invariant": args.which,
             "value": out["value"],
@@ -228,7 +233,10 @@ def cmd_enumerate_check(args) -> int:
     )
     checks = [sweeps.check_tree(t, budget) for t in trees]
     if args.dump_dir:
-        sweeps.dump_disagreements(checks, Path(args.dump_dir))
+        try:
+            sweeps.dump_disagreements(checks, Path(args.dump_dir))
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dump_dir}: {exc.strerror}") from None
     summary = sweeps.summarize(checks)
     _emit(json.dumps(summary, indent=2), args.output)
     return EXIT_MISMATCH if summary["disagreements"] else EXIT_OK

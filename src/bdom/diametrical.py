@@ -68,8 +68,14 @@ TOO_MANY_LIMBS = "TooManyLimbs"
 SPACING_VIOLATION = "SpacingViolation"
 
 
-def _pair_gap(k1: str, k2: str) -> int:
-    return PAIR_MIN_GAP[(k1, k2)] if (k1, k2) in PAIR_MIN_GAP else PAIR_MIN_GAP[(k2, k1)]
+def _min_gap(a: str, b: str) -> int:
+    """The least spine gap between neighbouring stops a and b: limb kinds or
+    the ends e1 and e2."""
+    if a == "e1":
+        return END_MIN_GAP[b]
+    if b == "e2":
+        return END_MIN_GAP[a]
+    return PAIR_MIN_GAP[(a, b)] if (a, b) in PAIR_MIN_GAP else PAIR_MIN_GAP[(b, a)]
 
 
 @dataclass(frozen=True)
@@ -112,11 +118,6 @@ class LimbDecomposition:
 
     def diameter(self) -> int:
         return len(self.spine) - 1
-
-    def to_lobster_spec(self) -> LobsterSpec:
-        return LobsterSpec(
-            self.diameter(), tuple((l.attach, l.kind) for l in self.limbs)
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,95 +168,52 @@ def _validate_diametrical_path(t: Graph, path) -> None:
 def decompose(t: Graph, path) -> LimbDecomposition | Violation:
     """Classify every protrusion along the given longest path.
 
-    Returns the decomposition when all protrusions are legal limbs, else the
-    first violation scanning the spine left to right: a protrusion deeper
-    than two edges, branching off the spine, a mix of depths at one spine
-    vertex, or three or more protrusions at one spine vertex.
+    Each protrusion is read two levels deep from its spine vertex v: its
+    roots are v's off-spine neighbours, and a root's child with a neighbour
+    of its own makes it LimbTooDeep.  Otherwise the sorted child counts of
+    the roots name the limb from one shape table: (0,) is a leaf C, (0, 0)
+    two leaves B, (1,) a two-edge path A, and any other shape is
+    IllegalLimbShape.  Returns the decomposition when every protrusion is a
+    legal limb, else the first violation scanning the spine left to right,
+    with the depth test before the shape test at each vertex.
     """
     if not is_tree(t):
         raise InputError("decompose requires a tree")
     path = tuple(path)
     _validate_diametrical_path(t, path)
     on_spine = set(path)
+    adj = t.adjacency
     limbs: list[Limb] = []
     limb_vertices: list[tuple[int, ...]] = []
     for i, v in enumerate(path):
-        roots = [u for u in t.adjacency[v] if u not in on_spine]
+        roots = [u for u in adj[v] if u not in on_spine]
         if not roots:
             continue
         # a longest path cannot have protrusions at its endpoints
         assert 0 < i < len(path) - 1
-        subtrees = []
-        branching = False
-        for r in roots:
-            depth = 1
-            verts = [r]
-            frontier = [(r, v)]
-            while frontier:
-                nxt = []
-                for x, par in frontier:
-                    kids = [w for w in t.adjacency[x] if w != par]
-                    if len(kids) > 1:
-                        branching = True
-                    for w in kids:
-                        verts.append(w)
-                        nxt.append((w, x))
-                if nxt:
-                    depth += 1
-                frontier = nxt
-            subtrees.append((depth, tuple(sorted(verts))))
-        max_depth = max(depth for depth, _ in subtrees)
-        if max_depth >= 3:
+        children = [w for r in roots for w in adj[r] if w != v]
+        if any(len(adj[w]) > 1 for w in children):
             return Violation(LIMB_TOO_DEEP, at=i)
-        if branching:
+        shape = tuple(sorted(len(adj[r]) - 1 for r in roots))
+        kind = {(0,): "C", (0, 0): "B", (1,): "A"}.get(shape)
+        if kind is None:
             return Violation(ILLEGAL_LIMB_SHAPE, at=i)
-        if len(subtrees) >= 3:
-            return Violation(ILLEGAL_LIMB_SHAPE, at=i)
-        if len(subtrees) == 2:
-            if max_depth > 1:
-                return Violation(ILLEGAL_LIMB_SHAPE, at=i)
-            kind = "B"
-        else:
-            kind = "C" if max_depth == 1 else "A"
         limbs.append(Limb(i, kind))
-        limb_vertices.append(tuple(sorted(subtrees[0][1] + subtrees[1][1]))
-                             if len(subtrees) == 2 else subtrees[0][1])
+        limb_vertices.append(tuple(sorted(roots + children)))
     return LimbDecomposition(path, tuple(limbs), tuple(limb_vertices))
 
 
 def check_spacing(dec: LimbDecomposition) -> Violation | None:
-    """Validate spine gaps between neighboring limbs and both spine ends."""
-    d = dec.diameter()
+    """The first spine gap below its minimum, walking the stops e1 at 0, the
+    limbs, and e2 at the diameter; `at` is the limb's position."""
     if not dec.limbs:
         return None
-    first, last = dec.limbs[0], dec.limbs[-1]
-    if first.attach < END_MIN_GAP[first.kind]:
-        return Violation(
-            SPACING_VIOLATION,
-            at=first.attach,
-            pair=("e1", first.kind),
-            required=END_MIN_GAP[first.kind],
-            actual=first.attach,
-        )
-    for l1, l2 in zip(dec.limbs, dec.limbs[1:]):
-        gap = l2.attach - l1.attach
-        need = _pair_gap(l1.kind, l2.kind)
-        if gap < need:
-            return Violation(
-                SPACING_VIOLATION,
-                at=l1.attach,
-                pair=(l1.kind, l2.kind),
-                required=need,
-                actual=gap,
-            )
-    if d - last.attach < END_MIN_GAP[last.kind]:
-        return Violation(
-            SPACING_VIOLATION,
-            at=last.attach,
-            pair=(last.kind, "e2"),
-            required=END_MIN_GAP[last.kind],
-            actual=d - last.attach,
-        )
+    stops = [(0, "e1"), *((l.attach, l.kind) for l in dec.limbs), (dec.diameter(), "e2")]
+    for (i, a), (j, b) in zip(stops, stops[1:]):
+        need = _min_gap(a, b)
+        if j - i < need:
+            return Violation(SPACING_VIOLATION, at=j if a == "e1" else i,
+                             pair=(a, b), required=need, actual=j - i)
     return None
 
 
@@ -285,13 +243,10 @@ def classify_tree(t: Graph) -> Verdict:
     return Verdict(True, witness=dec)
 
 
-def reconstruct_witness(dec: LimbDecomposition) -> Graph:
-    """Rebuild a tree from a decomposition; isomorphic to the original."""
-    return gen_lobster(dec.to_lobster_spec())
-
-
 def witness_matches(t: Graph, dec: LimbDecomposition) -> bool:
-    return canonical_form(reconstruct_witness(dec)) == canonical_form(t)
+    """Whether the lobster rebuilt from dec is isomorphic to t."""
+    spec = LobsterSpec(dec.diameter(), tuple((l.attach, l.kind) for l in dec.limbs))
+    return canonical_form(gen_lobster(spec)) == canonical_form(t)
 
 
 def concatenate(t1: Graph, d1, t2: Graph, d2) -> Graph:

@@ -59,6 +59,20 @@ def test_invariant_mismatch_exit_code(capsys):
     assert rep["exact"]["value"] == 6 and rep["closed_form"]["value"] == 4
 
 
+@pytest.mark.parametrize("family, which, expected, message", [
+    ("torus:5,8", "gamma", EXIT_BUDGET, "only an upper bound is known for m=5, n=5k+3"),
+    ("grid:4,5", "Gamma_b", EXIT_INPUT, "no closed form"),
+])
+def test_invariant_both_asks_the_formula_first(capsys, family, which, expected, message):
+    # one search node is too few for either solve, so only a formula that
+    # refuses before the solver starts can give its own message
+    code, out, err = run(
+        capsys, "invariant", "--family", family, "--which", which,
+        "--method", "both", "--budget-nodes", "1",
+    )
+    assert code == expected and message in err and "node budget" not in err and out == ""
+
+
 def test_invariant_from_file(tmp_path, capsys, fig_graph):
     path = tmp_path / "fig.edges"
     path.write_text(serialize(fig_graph))
@@ -256,6 +270,29 @@ def test_generate_torus(capsys):
 def test_generate_bad_family(capsys):
     code, _, _ = run(capsys, "generate", "--family", "cycle:2")
     assert code == EXIT_INPUT
+
+
+def test_generate_into_a_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.edges"
+    code, out, err = run(capsys, "generate", "--family", "path:3", "--output", str(target))
+    assert code == EXIT_INPUT and f"error: cannot write {target}" in err and out == ""
+
+
+def test_invariant_output_is_a_directory(tmp_path, capsys, fig_graph):
+    path = tmp_path / "fig.edges"
+    path.write_text(serialize(fig_graph))
+    code, out, err = run(
+        capsys, "invariant", "--graph", str(path), "--which", "Gamma", "--output", str(tmp_path),
+    )
+    assert code == EXIT_INPUT and f"error: cannot write {tmp_path}" in err and out == ""
+
+
+def test_enumerate_check_dump_dir_is_a_file(tmp_path, capsys):
+    # 8 vertices give one disagreement to dump
+    dump = tmp_path / "dumps"
+    dump.write_text("")
+    code, out, err = run(capsys, "enumerate-check", "--max-n", "8", "--dump-dir", str(dump))
+    assert code == EXIT_INPUT and f"error: cannot write {dump}" in err and out == ""
 
 
 def test_gamma_past_32_vertices(capsys):

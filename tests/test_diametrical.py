@@ -9,6 +9,7 @@ from bdom.diametrical import (
     SINGLE_VERTEX,
     SPACING_VIOLATION,
     TOO_MANY_LIMBS,
+    Limb,
     LimbDecomposition,
     Violation,
     check_spacing,
@@ -111,6 +112,98 @@ def test_check_spacing_two_cs_at_gap_two():
     t = gen_lobster(LobsterSpec(8, ((3, "C"), (5, "C"))))
     dec = decompose(t, range(9))
     assert check_spacing(dec) is None
+
+
+# The rule pinned by hand, independently of `decompose` and `check_spacing`:
+# each row is a spine 0..d, its off-spine edges (new vertices numbered from
+# d + 1) and what the two functions must return on the path 0..d.
+
+
+def _limb_edges(d, limbs):
+    edges, n = [], d + 1
+    for pos, kind in limbs:
+        edges += {"C": [(pos, n)], "B": [(pos, n), (pos, n + 1)], "A": [(pos, n), (n, n + 1)]}[kind]
+        n += 1 if kind == "C" else 2
+    return edges
+
+
+def _legal(name, d, extra, limbs, limb_vertices):
+    want = {"limbs": limbs, "limb_vertices": limb_vertices, "spacing": None}
+    return pytest.param(d, extra, want, id=name)
+
+
+def _illegal(name, d, extra, kind, at):
+    return pytest.param(d, extra, {"violation": {"kind": kind, "at": at}}, id=name)
+
+
+def _gap(name, d, limbs, at, pair, required, actual, longest=True):
+    """A lobster whose first short gap is `pair`; when `longest` is False an
+    end limb lengthens the tree past d, so 0..d is no longest path and the
+    spacing is checked on the decomposition built by hand."""
+    spacing = {"kind": SPACING_VIOLATION, "at": at, "pair": list(pair),
+               "required": required, "actual": actual}
+    want = {"limbs": [list(l) for l in limbs], "spacing": spacing, "longest": longest}
+    return pytest.param(d, _limb_edges(d, limbs), want, id=name)
+
+
+RULE_TABLE = [
+    _legal("no-protrusion", 6, [], [], []),
+    _legal("C", 6, [(3, 7)], [[3, "C"]], [[7]]),
+    _legal("B", 6, [(3, 7), (3, 8)], [[3, "B"]], [[7, 8]]),
+    _legal("A", 6, [(3, 7), (7, 8)], [[3, "A"]], [[7, 8]]),
+    _legal("A-tip-numbered-first", 6, [(3, 8), (8, 7)], [[3, "A"]], [[7, 8]]),
+    _legal("gaps-at-their-minimum", 13, _limb_edges(13, [(2, "B"), (4, "C"), (7, "A"), (11, "A")]),
+           [[2, "B"], [4, "C"], [7, "A"], [11, "A"]], [[14, 15], [16], [17, 18], [19, 20]]),
+    _illegal("three-leaves", 6, [(3, 7), (3, 8), (3, 9)], ILLEGAL_LIMB_SHAPE, 3),
+    _illegal("root-with-two-leaf-children", 6, [(3, 7), (7, 8), (7, 9)], ILLEGAL_LIMB_SHAPE, 3),
+    _illegal("leaf-beside-two-edge-path", 6, [(3, 7), (3, 8), (8, 9)], ILLEGAL_LIMB_SHAPE, 3),
+    _illegal("two-two-edge-paths", 6, [(3, 7), (7, 8), (3, 9), (9, 10)], ILLEGAL_LIMB_SHAPE, 3),
+    _illegal("depth-3", 6, [(3, 7), (7, 8), (8, 9)], LIMB_TOO_DEEP, 3),
+    _illegal("deep-beside-fork", 6, [(3, 7), (7, 8), (8, 9), (3, 10), (10, 11), (10, 12)],
+             LIMB_TOO_DEEP, 3),
+    _illegal("fork-left-of-deep", 8, [(2, 9), (9, 10), (9, 11), (4, 12), (12, 13), (13, 14)],
+             ILLEGAL_LIMB_SHAPE, 2),
+    _illegal("deep-left-of-fork", 8, [(4, 9), (9, 10), (10, 11), (6, 12), (12, 13), (12, 14)],
+             LIMB_TOO_DEEP, 4),
+    _gap("e1-A", 6, [(1, "A")], 1, ("e1", "A"), 2, 1, longest=False),
+    _gap("A-e2", 6, [(5, "A")], 5, ("A", "e2"), 2, 1, longest=False),
+    _gap("e1-B", 8, [(1, "B"), (4, "C")], 1, ("e1", "B"), 2, 1),
+    _gap("B-e2", 8, [(3, "C"), (7, "B")], 7, ("B", "e2"), 2, 1),
+    _gap("e1-C", 6, [(0, "C")], 0, ("e1", "C"), 1, 0, longest=False),
+    _gap("C-e2", 6, [(6, "C")], 6, ("C", "e2"), 1, 0, longest=False),
+    _gap("e1-before-pair", 8, [(1, "B"), (2, "C")], 1, ("e1", "B"), 2, 1),
+    _gap("A-A", 10, [(3, "A"), (6, "A")], 3, ("A", "A"), 4, 3),
+    _gap("A-B", 10, [(3, "A"), (5, "B")], 3, ("A", "B"), 3, 2),
+    _gap("B-A", 10, [(3, "B"), (5, "A")], 3, ("B", "A"), 3, 2),
+    _gap("A-C", 10, [(3, "A"), (5, "C")], 3, ("A", "C"), 3, 2),
+    _gap("C-A", 10, [(3, "C"), (5, "A")], 3, ("C", "A"), 3, 2),
+    _gap("B-B", 10, [(3, "B"), (5, "B")], 3, ("B", "B"), 3, 2),
+    _gap("B-C", 10, [(3, "B"), (4, "C")], 3, ("B", "C"), 2, 1),
+    _gap("C-B", 10, [(3, "C"), (4, "B")], 3, ("C", "B"), 2, 1),
+    _gap("C-C", 10, [(3, "C"), (4, "C")], 3, ("C", "C"), 2, 1),
+    _gap("legal-pair-then-C-C", 10, [(2, "B"), (4, "C"), (5, "C")], 4, ("C", "C"), 2, 1),
+]
+
+
+@pytest.mark.parametrize("d, extra, want", RULE_TABLE)
+def test_rule_table(d, extra, want):
+    spine = tuple(range(d + 1))
+    edges = [(i, i + 1) for i in range(d)] + extra
+    t = build_graph(1 + max(max(e) for e in edges), edges)
+    if not want.get("longest", True):
+        with pytest.raises(InputError):
+            decompose(t, spine)
+        dec = LimbDecomposition(spine, tuple(Limb(p, k) for p, k in want["limbs"]), ())
+    else:
+        dec = decompose(t, spine)
+        if "violation" in want:
+            assert dec.to_json_dict() == want["violation"]
+            return
+        assert dec.to_json_dict() == {"spine": list(spine), "limbs": want["limbs"]}
+        if "limb_vertices" in want:
+            assert [list(vs) for vs in dec.limb_vertices] == want["limb_vertices"]
+    bad = check_spacing(dec)
+    assert (bad.to_json_dict() if bad else None) == want["spacing"]
 
 
 def test_classify_left_tree(left_tree):
