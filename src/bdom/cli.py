@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -98,6 +99,17 @@ def _load_graph(path: str) -> Graph:
     if path.endswith(".json"):
         return graph_from_json(text)
     return parse_edge_list(text)
+
+
+def _refuse_unwritable(output: str | None, dump_dir: str | None) -> None:
+    """Refuse, before any computation, an output file that is a directory or
+    lies in a missing one, and a dump directory at or below an existing file."""
+    if output and Path(output).is_dir():
+        raise InputError(f"cannot write {output}: {os.strerror(errno.EISDIR)}")
+    if output and not Path(output).parent.is_dir():
+        raise InputError(f"cannot write {output}: {os.strerror(errno.ENOENT)}")
+    if dump_dir and any(p.is_file() for p in (Path(dump_dir), *Path(dump_dir).parents)):
+        raise InputError(f"cannot write {dump_dir}: {os.strerror(errno.ENOTDIR)}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -318,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_unwritable(getattr(args, "output", None), getattr(args, "dump_dir", None))
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,17 +20,18 @@ caller may narrow as results come in, and it cuts a subtree when
   strength s hears at most rho * s vertices, so U costs at least |U| / rho.
 
 No minimal dominating broadcast costs more than the edge count, which caps
-hi.  The callers differ only in their windows and in which optimum they keep:
-each witness is the lexicographically smallest optimal broadcast or set.  The
-diametricality oracle `beats_diameter` decides rather than optimizes: its
-window is [diam + 1, |E|], and its first find closes it.
+hi.  A set search tries strength 1 before 0, so each witness, the
+lexicographically smallest optimal broadcast or set, is the first optimum
+found, and the callers differ only in their windows.  The diametricality
+oracle `beats_diameter` decides rather than optimizes: its window is
+[diam + 1, |E|], and its first find closes it.
 
-On a vertex-transitive graph, Gamma_b searches one orbit: every optimum has
-an image under some automorphism with its largest strength s0 at vertex 0,
-so one search per s0, with vertex 0 fixed at s0 and every cap at most s0,
-finds the optimum; a search over [opt, opt] that stops at its first find
-then gives the witness.  The solver proves transitivity itself, by finding
-automorphisms that move vertex 0 to every vertex, and checks each one.
+On a vertex-transitive graph, Gamma_b and Gamma search one orbit: every
+optimum has an image under some automorphism with its largest strength s0 at
+vertex 0, so one search per s0, with vertex 0 fixed at s0 and every cap at
+most s0, finds the optimum; a search over [opt, opt] that stops at its first
+find then gives the witness.  The solver proves transitivity itself, by
+finding automorphisms that move vertex 0 to every vertex, and checks each one.
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ class _SearchContext:
     suffix_cover: tuple[int, ...]  # union of the balls of vertices >= i at their caps
     suffix_strength: tuple[int, ...]  # sum of the caps of vertices >= i
     cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= caps[v]
+    ones_first: bool  # a set search: strength 1 before 0 at each vertex
 
 
 def _search_context(g: Graph, top: int) -> _SearchContext:
@@ -152,10 +154,12 @@ def _search_context(g: Graph, top: int) -> _SearchContext:
     """
     m = metrics(g)
     caps = tuple(min(max(e, 1), top) for e in m.ecc)
-    return _with_caps(g, _Rows(m.dist, caps), caps)
+    # from top, not from the caps: a broadcast search on a graph of
+    # eccentricity 1 also caps every vertex at 1
+    return _with_caps(g, _Rows(m.dist, caps), caps, top == 1)
 
 
-def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
+def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...], ones_first: bool) -> _SearchContext:
     """A context on `rows` whose vertices are searched up to `caps`, each at
     most the row's top.  Reads each vertex's distance row once: its layer
     sizes give the cover ratio, and its ball at the cap the suffix cover."""
@@ -188,6 +192,7 @@ def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
         tuple(suffix_cover),
         tuple(suffix_strength),
         (num, den),
+        ones_first,
     )
 
 
@@ -206,7 +211,8 @@ def _search_minimal_broadcasts(
     on_found: Callable[[int, tuple[int, ...]], None],
     s0: int = 0,
 ) -> None:
-    """DFS over strength vectors in lexicographic order.
+    """DFS over strength vectors in lexicographic order, descending for a
+    set search (ctx.ones_first).
 
     Calls on_found(cost, strengths) for every minimal dominating broadcast
     whose cost lies in the window [lo, hi] = `window`, with hi at most the
@@ -224,6 +230,7 @@ def _search_minimal_broadcasts(
     suffix_cover = ctx.suffix_cover
     suffix_strength = ctx.suffix_strength
     cover_num, cover_den = ctx.cover_ratio
+    ones_first = ctx.ones_first
     count = nodes.count
     node_cap = nodes.cap
 
@@ -246,8 +253,9 @@ def _search_minimal_broadcasts(
         rest = suffix_strength[i + 1]
         first = lo - rest - total
         outside = ~suffix_cover[i + 1]  # vertices no later broadcaster can reach
-        # strength 0 first: lexicographic order over full vectors
-        if first <= 0 and unheard & outside == 0:
+        # strength 0 first for a broadcast, last for a set: of two sets of one
+        # size, the one with the smaller first differing vertex comes first
+        if not ones_first and first <= 0 and unheard & outside == 0:
             rec(i + 1, total, unheard, exactly_one)
             lo = window[0]
             if hi < lo:
@@ -294,6 +302,8 @@ def _search_minimal_broadcasts(
             if hi < lo:
                 return
             first = lo - rest - total
+        if ones_first and first <= 0 and unheard & outside == 0:
+            rec(i + 1, total, unheard, exactly_one)
 
     start, unheard, exactly_one = 0, (1 << n) - 1, 0
     if s0:
@@ -421,17 +431,18 @@ def _vertex_transitive(g: Graph) -> bool:
     return len(orbit) == n
 
 
-def _orbit_optimum(g: Graph, ctx: _SearchContext, nodes: _Nodes) -> int:
-    """Gamma_b of a vertex-transitive graph, searched on one orbit.
+def _orbit_optimum(g: Graph, ctx: _SearchContext, nodes: _Nodes, hi: int) -> int:
+    """Gamma_b (Gamma on a set context) of a vertex-transitive graph, on one orbit.
 
     An automorphism moves a largest strength of any optimum to vertex 0, so
     the optimum is the best over s0 of the broadcasts with s0 at vertex 0 and
     at most s0 elsewhere: one search per s0 from the top cap down, each on
     the same rows with caps min(cap, s0), whose window asks for more than
-    the best so far.
+    the best so far and at most hi.  A set search has one round: the sets
+    that hold vertex 0.
     """
     best = 0
-    window = [0, ctx.edge_count]
+    window = [0, hi]
 
     def on_found(c, _vec):
         nonlocal best
@@ -440,8 +451,8 @@ def _orbit_optimum(g: Graph, ctx: _SearchContext, nodes: _Nodes) -> int:
 
     for s0 in range(max(ctx.caps), 0, -1):
         caps = tuple(min(c, s0) for c in ctx.caps)
-        window[:] = [max(best + 1, s0), ctx.edge_count]
-        _search(_with_caps(g, ctx.rows, caps), window, nodes, on_found, s0)
+        window[:] = [max(best + 1, s0), hi]
+        _search(_with_caps(g, ctx.rows, caps, ctx.ones_first), window, nodes, on_found, s0)
     return best
 
 
@@ -451,41 +462,35 @@ def _solve(
     """The least or greatest cost of a minimal dominating vector with
     strengths up to top (1: a set), and its lexicographically smallest witness.
 
-    The search runs in lexicographic vector order, so that witness is the
-    first optimal vector found for a broadcast and the last one for a set:
-    of two sets of equal size, the one holding the smaller first differing
-    vertex has the larger vector.  So a set search does not stop at its
-    first optimum.
+    The search meets the vectors of each cost in the witness order: a
+    broadcast in ascending vector order, and a set in descending vector
+    order, which is ascending order of the sorted members.  So the witness
+    is the first optimum found, and every find raises lo past its cost.
     """
     _require_connected(g)
     ctx = _search_context(g, top)
     nodes = _Nodes(budget.broadcast_node_cap)
-    sets = top == 1
     found: list = []
+
+    def on_found(c, vec):
+        found.append((c, vec))
+        window[0] = c + 1
+
     if maximize:
         # a vertex of the largest cap at full strength dominates minimally
         # (a peripheral vertex attains the diameter); a lone vertex has no
         # edge but forms the set {v}
         window = [max(ctx.caps), max(ctx.edge_count, 1)]
-        if not sets and _vertex_transitive(g):
+        if _vertex_transitive(g):
             # with the optimum known, the first find in [opt, opt] is the
-            # lexicographically smallest optimal broadcast
-            window[:] = [_orbit_optimum(g, ctx, nodes)] * 2
-
-        def on_found(c, vec):
-            found.append((c, vec))
-            window[0] = c if sets else c + 1
-
+            # witness
+            window[:] = [_orbit_optimum(g, ctx, nodes, window[1])] * 2
         _search(ctx, window, nodes, on_found)
     else:
         # deepen hi until a round finds something, with one node budget for
-        # all rounds
+        # all rounds; each round found nothing below hi, so its first find
+        # closes it
         window = [0, 0]
-
-        def on_found(c, vec):
-            found.append((c, vec))
-            if not sets:
-                window[0] = window[1] + 1
 
         for hi in range(1, ctx.suffix_strength[0] + 1):
             window[:] = [0, hi]
@@ -493,7 +498,7 @@ def _solve(
             if found:
                 break
     value, vec = found[-1]
-    if sets:
+    if top == 1:
         members = tuple(v for v, s in enumerate(vec) if s)
         _check_witness(invariant, is_minimal_dominating_set(g, members) and len(members) == value)
         return InvariantReport(invariant, value, "exact", witness_set=members, nodes=nodes.count)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from bdom import cli, sweeps
 from bdom.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main, parse_family
 from bdom.errors import InputError
 from bdom.graphs import LobsterSpec, gen_lobster, gen_torus, parse_edge_list, serialize
@@ -293,6 +294,27 @@ def test_enumerate_check_dump_dir_is_a_file(tmp_path, capsys):
     dump.write_text("")
     code, out, err = run(capsys, "enumerate-check", "--max-n", "8", "--dump-dir", str(dump))
     assert code == EXIT_INPUT and f"error: cannot write {dump}" in err and out == ""
+
+
+def refuse_to_run(*_args):
+    raise AssertionError("the computation ran before the write target was checked")
+
+
+def test_invariant_output_directory_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.INVARIANT_SOLVERS, "Gamma", refuse_to_run)
+    code, out, err = run(
+        capsys, "invariant", "--family", "torus:3,3", "--which", "Gamma", "--output", str(tmp_path),
+    )
+    assert code == EXIT_INPUT and f"error: cannot write {tmp_path}" in err and out == ""
+
+
+def test_enumerate_check_dump_file_is_refused_before_the_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweeps, "check_tree", refuse_to_run)
+    dump = tmp_path / "dumps"
+    dump.write_text("")
+    for target in (dump, dump / "below"):
+        code, out, err = run(capsys, "enumerate-check", "--max-n", "8", "--dump-dir", str(target))
+        assert code == EXIT_INPUT and f"error: cannot write {target}" in err and out == ""
 
 
 def test_gamma_past_32_vertices(capsys):

@@ -326,17 +326,20 @@ ORBIT_CUT_GRAPHS = (
 )
 
 
-def plain_upper_gamma_b(g, monkeypatch):
-    """Gamma_b from the search over every vector, the orbit cut turned off."""
+def plain_search(g, monkeypatch, solver=solve_upper_gamma_b):
+    """`solver`'s report from the search over every vector, the orbit cut
+    turned off."""
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_vertex_transitive", lambda _g: False)
-        return solve_upper_gamma_b(g)
+        return solver(g)
 
 
 @pytest.mark.parametrize("g", ORBIT_CUT_GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count()}")
 def test_orbit_cut_equals_plain_search(g, monkeypatch):
-    cut, plain = solve_upper_gamma_b(g), plain_upper_gamma_b(g, monkeypatch)
+    cut, plain = solve_upper_gamma_b(g), plain_search(g, monkeypatch)
     assert (cut.value, cut.witness_broadcast) == (plain.value, plain.witness_broadcast)
+    cut, plain = solve_upper_gamma(g), plain_search(g, monkeypatch, solve_upper_gamma)
+    assert (cut.value, cut.witness_set) == (plain.value, plain.witness_set)
 
 
 @pytest.mark.parametrize(
@@ -351,12 +354,16 @@ def test_orbit_cut_equals_brute_force(g):
     rep = solve_upper_gamma_b(g)
     assert rep.value == top
     assert rep.witness_broadcast == min((b for b in casts if cost(b) == top), key=lambda b: b.strengths)
+    # Gamma through the orbit cut and gamma through the deepening rounds; a
+    # set search that tried strength 0 before 1 would meet the largest
+    # optimal set first and fail the witness check
+    assert_set_solvers_match_brute(g)
 
 
 @pytest.mark.parametrize("g", [relabelled(gen_cycle(20), 1), relabelled(gen_torus(4, 5), 1)])
 def test_orbit_cut_fires_on_relabelled_inputs(g, monkeypatch):
     assert solvers._vertex_transitive(g)
-    cut, plain = solve_upper_gamma_b(g), plain_upper_gamma_b(g, monkeypatch)
+    cut, plain = solve_upper_gamma_b(g), plain_search(g, monkeypatch)
     assert cut.value == plain.value
     assert cut.nodes * 5 < plain.nodes
 
@@ -369,7 +376,7 @@ def test_orbit_cut_fires_on_relabelled_inputs(g, monkeypatch):
 )
 def test_orbit_cut_does_not_fire(g, monkeypatch):
     assert not solvers._vertex_transitive(g)
-    assert solve_upper_gamma_b(g) == plain_upper_gamma_b(g, monkeypatch)
+    assert solve_upper_gamma_b(g) == plain_search(g, monkeypatch)
 
 
 def test_transitivity_verdict_matches_networkx():
@@ -395,7 +402,7 @@ def test_transitivity_verdict_matches_networkx():
 
 def test_automorphism_search_past_its_cap_runs_the_plain_search(monkeypatch):
     g = relabelled(gen_cycle(9), 3)
-    plain = plain_upper_gamma_b(g, monkeypatch)
+    plain = plain_search(g, monkeypatch)
     monkeypatch.setattr(solvers, "_AUTOMORPHISM_CHECK_CAP", 3)
     assert not solvers._vertex_transitive(g)
     assert solve_upper_gamma_b(g) == plain
@@ -440,7 +447,8 @@ except AssertionError as exc:
         )
     ]
     # vertex-transitive: the orbit rounds, then the witness re-search
-    + [pytest.param("solve_upper_gamma_b", "gen_cycle(5)", id="solve_upper_gamma_b-C5")],
+    + [pytest.param(solver, "gen_cycle(5)", id=f"{solver}-C5")
+       for solver in ("solve_upper_gamma_b", "solve_upper_gamma")],
 )
 def test_witness_check_survives_optimize_flag(solver, graph):
     src = Path(__file__).resolve().parent.parent / "src"
