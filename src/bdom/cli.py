@@ -198,7 +198,8 @@ def cmd_verify(args) -> int:
         raise InputError("sweep range is empty")
     tasks = [(family, args.which, m, n, budget) for m, n in points]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(sweeps.verify_point, *zip(*tasks)))
     else:
         rows = [sweeps.verify_point(*t) for t in tasks]

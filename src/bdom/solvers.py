@@ -20,18 +20,21 @@ caller may narrow as results come in, and it cuts a subtree when
   strength s hears at most rho * s vertices, so U costs at least |U| / rho.
 
 No minimal dominating broadcast costs more than the edge count, which caps
-hi.  A set search tries strength 1 before 0, so each witness, the
-lexicographically smallest optimal broadcast or set, is the first optimum
-found, and the callers differ only in their windows.  The diametricality
-oracle `beats_diameter` decides rather than optimizes: its window is
-[diam + 1, |E|], and its first find closes it.
+hi.  The four solvers try each vertex's strengths from the top down, with 0
+last, so each witness is the lexicographically largest optimal strength
+vector, the first optimum found; for a set that is the lexicographically
+smallest sorted member list.  `enumerate_minimal_broadcasts` and the
+diametricality oracle `beats_diameter` search ascending: the oracle decides
+rather than optimizes, its window is [diam + 1, |E|], and its first find,
+the lexicographically smallest, closes it.
 
 On a vertex-transitive graph, Gamma_b and Gamma search one orbit: every
 optimum has an image under some automorphism with its largest strength s0 at
 vertex 0, so one search per s0, with vertex 0 fixed at s0 and every cap at
-most s0, finds the optimum; a search over [opt, opt] that stops at its first
-find then gives the witness.  The solver proves transitivity itself, by
-finding automorphisms that move vertex 0 to every vertex, and checks each one.
+most s0, finds the optimum.  The lexicographically largest optimum is such
+an image, so the round of its s0 meets it first and it is the last find.
+The solver proves transitivity itself, by finding automorphisms that move
+vertex 0 to every vertex, and checks each one.
 """
 
 from __future__ import annotations
@@ -143,23 +146,22 @@ class _SearchContext:
     suffix_cover: tuple[int, ...]  # union of the balls of vertices >= i at their caps
     suffix_strength: tuple[int, ...]  # sum of the caps of vertices >= i
     cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= caps[v]
-    ones_first: bool  # a set search: strength 1 before 0 at each vertex
+    descending: bool  # strengths from the top down at each vertex, 0 last
 
 
-def _search_context(g: Graph, top: int) -> _SearchContext:
-    """Search tables for strengths up to min(ecc(v), top) at each vertex v.
+def _search_context(g: Graph, top: int, descending: bool) -> _SearchContext:
+    """Search tables for strengths up to min(ecc(v), top) at each vertex v,
+    tried in descending or ascending order.
 
     top = 1 searches vertex sets, and top = n broadcasts.  A lone vertex, of
     eccentricity 0, still forms the set {v}, so its cap is 1.
     """
     m = metrics(g)
     caps = tuple(min(max(e, 1), top) for e in m.ecc)
-    # from top, not from the caps: a broadcast search on a graph of
-    # eccentricity 1 also caps every vertex at 1
-    return _with_caps(g, _Rows(m.dist, caps), caps, top == 1)
+    return _with_caps(g, _Rows(m.dist, caps), caps, descending)
 
 
-def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...], ones_first: bool) -> _SearchContext:
+def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...], descending: bool) -> _SearchContext:
     """A context on `rows` whose vertices are searched up to `caps`, each at
     most the row's top.  Reads each vertex's distance row once: its layer
     sizes give the cover ratio, and its ball at the cap the suffix cover."""
@@ -192,7 +194,7 @@ def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...], ones_first: bool) -
         tuple(suffix_cover),
         tuple(suffix_strength),
         (num, den),
-        ones_first,
+        descending,
     )
 
 
@@ -211,8 +213,8 @@ def _search_minimal_broadcasts(
     on_found: Callable[[int, tuple[int, ...]], None],
     s0: int = 0,
 ) -> None:
-    """DFS over strength vectors in lexicographic order, descending for a
-    set search (ctx.ones_first).
+    """DFS over strength vectors in lexicographic order, descending when
+    ctx.descending.
 
     Calls on_found(cost, strengths) for every minimal dominating broadcast
     whose cost lies in the window [lo, hi] = `window`, with hi at most the
@@ -230,7 +232,7 @@ def _search_minimal_broadcasts(
     suffix_cover = ctx.suffix_cover
     suffix_strength = ctx.suffix_strength
     cover_num, cover_den = ctx.cover_ratio
-    ones_first = ctx.ones_first
+    descending = ctx.descending
     count = nodes.count
     node_cap = nodes.cap
 
@@ -253,9 +255,8 @@ def _search_minimal_broadcasts(
         rest = suffix_strength[i + 1]
         first = lo - rest - total
         outside = ~suffix_cover[i + 1]  # vertices no later broadcaster can reach
-        # strength 0 first for a broadcast, last for a set: of two sets of one
-        # size, the one with the smaller first differing vertex comes first
-        if not ones_first and first <= 0 and unheard & outside == 0:
+        # strength 0 first when ascending, last when descending
+        if not descending and first <= 0 and unheard & outside == 0:
             rec(i + 1, total, unheard, exactly_one)
             lo = window[0]
             if hi < lo:
@@ -268,8 +269,9 @@ def _search_minimal_broadcasts(
         top = hi - total
         if top > caps[i]:
             top = caps[i]
-        for s in range(first if first > 1 else 1, top + 1):
-            if s < first:
+        low = first if first > 1 else 1
+        for s in range(top, low - 1, -1) if descending else range(low, top + 1):
+            if s < first:  # lo rose since the loop began
                 continue
             mine = cands[s]
             # mine lies inside the ball, whose unheard vertices are the only
@@ -302,7 +304,7 @@ def _search_minimal_broadcasts(
             if hi < lo:
                 return
             first = lo - rest - total
-        if ones_first and first <= 0 and unheard & outside == 0:
+        if descending and first <= 0 and unheard & outside == 0:
             rec(i + 1, total, unheard, exactly_one)
 
     start, unheard, exactly_one = 0, (1 << n) - 1, 0
@@ -338,7 +340,7 @@ def enumerate_minimal_broadcasts(
     _require_connected(g)
     if cost_bound < 0:
         raise InputError("cost bound must be non-negative")
-    ctx = _search_context(g, g.n)
+    ctx = _search_context(g, g.n, False)
     found: list[Broadcast] = []
     _search(
         ctx,
@@ -431,44 +433,18 @@ def _vertex_transitive(g: Graph) -> bool:
     return len(orbit) == n
 
 
-def _orbit_optimum(g: Graph, ctx: _SearchContext, nodes: _Nodes, hi: int) -> int:
-    """Gamma_b (Gamma on a set context) of a vertex-transitive graph, on one orbit.
-
-    An automorphism moves a largest strength of any optimum to vertex 0, so
-    the optimum is the best over s0 of the broadcasts with s0 at vertex 0 and
-    at most s0 elsewhere: one search per s0 from the top cap down, each on
-    the same rows with caps min(cap, s0), whose window asks for more than
-    the best so far and at most hi.  A set search has one round: the sets
-    that hold vertex 0.
-    """
-    best = 0
-    window = [0, hi]
-
-    def on_found(c, _vec):
-        nonlocal best
-        best = c
-        window[0] = c + 1
-
-    for s0 in range(max(ctx.caps), 0, -1):
-        caps = tuple(min(c, s0) for c in ctx.caps)
-        window[:] = [max(best + 1, s0), hi]
-        _search(_with_caps(g, ctx.rows, caps, ctx.ones_first), window, nodes, on_found, s0)
-    return best
-
-
 def _solve(
     g: Graph, invariant: str, top: int, budget: SolverBudget, maximize: bool
 ) -> InvariantReport:
     """The least or greatest cost of a minimal dominating vector with
-    strengths up to top (1: a set), and its lexicographically smallest witness.
+    strengths up to top (1: a set), and its lexicographically largest
+    witness.
 
-    The search meets the vectors of each cost in the witness order: a
-    broadcast in ascending vector order, and a set in descending vector
-    order, which is ascending order of the sorted members.  So the witness
-    is the first optimum found, and every find raises lo past its cost.
+    The search meets the vectors in descending order, so the witness is the
+    first optimum found, and every find raises lo past its cost.
     """
     _require_connected(g)
-    ctx = _search_context(g, top)
+    ctx = _search_context(g, top, True)
     nodes = _Nodes(budget.broadcast_node_cap)
     found: list = []
 
@@ -481,11 +457,18 @@ def _solve(
         # (a peripheral vertex attains the diameter); a lone vertex has no
         # edge but forms the set {v}
         window = [max(ctx.caps), max(ctx.edge_count, 1)]
+        rounds = [(ctx, 0)]
         if _vertex_transitive(g):
-            # with the optimum known, the first find in [opt, opt] is the
-            # witness
-            window[:] = [_orbit_optimum(g, ctx, nodes, window[1])] * 2
-        _search(ctx, window, nodes, on_found)
+            # one round per s0 from the top cap down, each on the same rows
+            # with caps min(cap, s0) and the window the rounds before left;
+            # a set search has one round, over the sets that hold vertex 0
+            caps = ctx.caps
+            rounds = (
+                (_with_caps(g, ctx.rows, tuple(min(c, s0) for c in caps), ctx.descending), s0)
+                for s0 in range(max(caps), 0, -1)
+            )
+        for round_ctx, s0 in rounds:
+            _search(round_ctx, window, nodes, on_found, s0)
     else:
         # deepen hi until a round finds something, with one node budget for
         # all rounds; each round found nothing below hi, so its first find
@@ -543,7 +526,7 @@ def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast
     more than the diameter; None when there is none, that is when Gamma_b
     equals the diameter."""
     _require_connected(g)
-    ctx = _search_context(g, _broadcast_top(g))
+    ctx = _search_context(g, _broadcast_top(g), False)
     diameter = metrics(g).diameter
     window = [diameter + 1, ctx.edge_count]
     found: list = []

@@ -257,6 +257,35 @@ def test_torus_upper_domination_when_4_divides_a_side():
     assert not failures, failures
 
 
+def test_torus_upper_broadcast_column_copy():
+    # Copy an optimal broadcast f of C_m down every column: vertex (i, j) of
+    # C_m x C_n gets f(i).  If i' is the private neighbour of i in C_m, then
+    # (i', j) is one of (i, j): only broadcasters in row i reach row i' with
+    # column distance to spare, and only (i, j) reaches (i', j).  So
+    # Gamma_b(C_m x C_n) >= n * Gamma_b(C_m), and with the row copy
+    # >= max(m * Gamma_b(C_n), n * Gamma_b(C_m)).  The row-product formula
+    # undershoots the column copy at m even, n odd, m < n < 3m/2.
+    failures = []
+    undershoots = set()
+    for m in range(3, 12):
+        cycle = solve_upper_gamma_b(gen_cycle(m))
+        f = cycle.witness_broadcast.strengths
+        for n in range(3, 14):
+            g = gen_torus(m, n)
+            copy = Broadcast(tuple(f[i] for i in range(m) for _ in range(n)))
+            if cost(copy) != n * cycle.value or not is_minimal_dominating_broadcast(g, copy):
+                failures.append(("copy", m, n))
+            if upper_gamma_b_torus(min(m, n), max(m, n)) < cost(copy):
+                undershoots.add((m, n))
+    family = {
+        (m, n) for m in range(3, 12) for n in range(3, 14)
+        if m % 2 == 0 and n % 2 == 1 and m < n < 3 * m / 2
+    }
+    assert family == {(4, 5), (6, 7), (8, 9), (8, 11), (10, 11), (10, 13)}
+    assert not failures, failures
+    assert undershoots == family, sorted(undershoots ^ family)
+
+
 def test_criterion_4_three_row_torus():
     started = time.monotonic()
     failures = []

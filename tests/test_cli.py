@@ -262,6 +262,31 @@ def test_verify_parallel_matches_serial(capsys):
     assert strip_millis(serial) == strip_millis(parallel)
 
 
+def test_verify_starts_no_more_workers_than_points(capsys, monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    argv = ["verify", "--family", "cycle", "--which", "gamma_b", "--n", "4:5", "--jobs", "64"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and len(out.splitlines()) == 3
+    assert started == [2]
+
+
 def test_generate_torus(capsys):
     code, out, _ = run(capsys, "generate", "--family", "torus:3,3")
     g = parse_edge_list(out)

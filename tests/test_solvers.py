@@ -127,7 +127,8 @@ PRUNED_VS_BRUTE = [
 
 def assert_set_solvers_match_brute(g):
     """gamma and Gamma, value and lexicographically smallest witness, as the
-    subset oracle finds them."""
+    subset oracle finds them: of two sets of one size, the one with the
+    smaller first differing vertex has the larger 0/1 vector."""
     sets = brute_minimal_dominating_sets(g)
     sizes = [len(s) for s in sets]
     for solver, size in ((solve_gamma, min(sizes)), (solve_upper_gamma, max(sizes))):
@@ -136,12 +137,23 @@ def assert_set_solvers_match_brute(g):
         assert rep.witness_set == min(s for s in sets if len(s) == size)
 
 
+def assert_broadcast_solvers_match_brute(g, brute):
+    """gamma_b and Gamma_b, value and lexicographically largest witness, as
+    the unpruned enumeration finds them."""
+    costs = [cost(b) for b in brute]
+    for solver, value in ((solve_gamma_b, min(costs)), (solve_upper_gamma_b, max(costs))):
+        rep = solver(g)
+        assert rep.value == value
+        assert rep.witness_broadcast == max(
+            (b for b in brute if cost(b) == value), key=lambda b: b.strengths
+        )
+
+
 @pytest.mark.parametrize("g", PRUNED_VS_BRUTE, ids=lambda g: f"n{g.n}m{g.edge_count()}")
 def test_pruned_search_equals_unpruned_enumeration(g):
     assert_set_solvers_match_brute(g)
     brute = brute_minimal_broadcasts(g)
-    assert solve_upper_gamma_b(g).value == max(cost(b) for b in brute)
-    assert solve_gamma_b(g).value == min(cost(b) for b in brute)
+    assert_broadcast_solvers_match_brute(g, brute)
     # full stream agrees, not just the extremes
     bound = g.edge_count()
     got = [b.strengths for b in enumerate_minimal_broadcasts(g, bound)]
@@ -162,8 +174,7 @@ def test_pruned_equals_unpruned_random_trees(n, data):
     seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
     t = prufer_to_graph(seq, n)
     brute = brute_minimal_broadcasts(t)
-    assert solve_upper_gamma_b(t).value == max(cost(b) for b in brute)
-    assert solve_gamma_b(t).value == min(cost(b) for b in brute)
+    assert_broadcast_solvers_match_brute(t, brute)
     assert_beats_diameter_matches_brute(t, brute)
 
 
@@ -188,8 +199,7 @@ def test_pruned_equals_unpruned_random_non_trees(g):
     # coverage ratio would cut a completable branch
     assert_set_solvers_match_brute(g)
     brute = brute_minimal_broadcasts(g)
-    assert solve_upper_gamma_b(g).value == max(cost(b) for b in brute)
-    assert solve_gamma_b(g).value == min(cost(b) for b in brute)
+    assert_broadcast_solvers_match_brute(g, brute)
     got = [b.strengths for b in enumerate_minimal_broadcasts(g, g.edge_count())]
     assert got == sorted(b.strengths for b in brute)
     assert_beats_diameter_matches_brute(g, brute)
@@ -235,22 +245,15 @@ def test_invariant_sandwich(g):
     assert Gamma_b <= g.edge_count()
 
 
-def test_witnesses_are_lexicographically_smallest(fig_graph):
+def test_witnesses_are_lexicographically_largest_vectors(fig_graph):
     for g in (fig_graph, gen_cycle(5), gen_cycle(6), gen_path(4), gen_star(3), gen_torus(3, 3)):
-        sets = brute_minimal_dominating_sets(g)
-        lo = min(len(s) for s in sets)
-        hi = max(len(s) for s in sets)
-        assert solve_gamma(g).witness_set == min(s for s in sets if len(s) == lo)
-        assert solve_upper_gamma(g).witness_set == min(s for s in sets if len(s) == hi)
-        casts = brute_minimal_broadcasts(g)
-        top = max(cost(b) for b in casts)
-        bottom = min(cost(b) for b in casts)
-        assert solve_upper_gamma_b(g).witness_broadcast.strengths == min(
-            b.strengths for b in casts if cost(b) == top
-        )
-        assert solve_gamma_b(g).witness_broadcast.strengths == min(
-            b.strengths for b in casts if cost(b) == bottom
-        )
+        assert_set_solvers_match_brute(g)
+        assert_broadcast_solvers_match_brute(g, brute_minimal_broadcasts(g))
+
+
+def test_gamma_b_of_a_long_path_within_a_small_budget():
+    # strongest-first, the deepening round at hi = 20 meets an optimum at once
+    assert solve_gamma_b(gen_path(60), SolverBudget(10_000)).value == 20
 
 
 def test_node_budget_reports_estimate():
@@ -349,11 +352,8 @@ def test_orbit_cut_equals_plain_search(g, monkeypatch):
 )
 def test_orbit_cut_equals_brute_force(g):
     assert solvers._vertex_transitive(g)
-    casts = brute_minimal_broadcasts(g)
-    top = max(cost(b) for b in casts)
-    rep = solve_upper_gamma_b(g)
-    assert rep.value == top
-    assert rep.witness_broadcast == min((b for b in casts if cost(b) == top), key=lambda b: b.strengths)
+    # Gamma_b through the orbit rounds and gamma_b through the deepening ones
+    assert_broadcast_solvers_match_brute(g, brute_minimal_broadcasts(g))
     # Gamma through the orbit cut and gamma through the deepening rounds; a
     # set search that tried strength 0 before 1 would meet the largest
     # optimal set first and fail the witness check
@@ -411,7 +411,7 @@ def test_automorphism_search_past_its_cap_runs_the_plain_search(monkeypatch):
 def test_rows_are_built_where_the_search_goes():
     # ten nodes reach at most ten vertices, so at most ten of the 1000 rows exist
     g = gen_path(1000)
-    ctx = solvers._search_context(g, g.n)
+    ctx = solvers._search_context(g, g.n, False)
     with pytest.raises(CapabilityError, match="node budget"):
         solvers._search(ctx, [0, ctx.edge_count], solvers._Nodes(10), lambda _c, _vec: None)
     assert sum(row is not None for row in ctx.rows.built) <= 10
@@ -446,7 +446,7 @@ except AssertionError as exc:
             "beats_diameter",
         )
     ]
-    # vertex-transitive: the orbit rounds, then the witness re-search
+    # vertex-transitive: the orbit rounds, whose last find is the witness
     + [pytest.param(solver, "gen_cycle(5)", id=f"{solver}-C5")
        for solver in ("solve_upper_gamma_b", "solve_upper_gamma")],
 )
