@@ -38,8 +38,9 @@ On the acceptance corpus (all trees up to 9 vertices plus 200 seeded random
 trees) the rule and the oracle disagree on 9 of 295 trees.
 
 The oracle is a decision search, `solvers.beats_diameter`: it returns the
-first minimal dominating broadcast that costs more than the diameter, which
-certifies a non-diametrical graph, or None for a diametrical one.
+lexicographically largest minimal dominating broadcast that costs more than
+the diameter, its first find, which certifies a non-diametrical graph, or
+None for a diametrical one.
 """
 
 from __future__ import annotations

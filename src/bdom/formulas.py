@@ -111,13 +111,6 @@ def grid_is_diametrical(m: int, n: int) -> bool:
     return (m == 1 and n >= 2) or (m, n) == (2, 2)
 
 
-def torus_diameter(m: int, n: int) -> int:
-    """floor(m/2) + floor(n/2)."""
-    if m < 3 or n < 3:
-        raise InputError(f"torus dimensions must be >= 3, got {m}x{n}")
-    return m // 2 + n // 2
-
-
 # (family, invariant) -> (evaluator, citation tag, parameter domain).  Cycle
 # evaluators take n, the others (m, n); verdicts are reported as 0 or 1.
 _FORMULAS = {

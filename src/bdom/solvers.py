@@ -20,13 +20,13 @@ caller may narrow as results come in, and it cuts a subtree when
   strength s hears at most rho * s vertices, so U costs at least |U| / rho.
 
 No minimal dominating broadcast costs more than the edge count, which caps
-hi.  The four solvers try each vertex's strengths from the top down, with 0
-last, so each witness is the lexicographically largest optimal strength
-vector, the first optimum found; for a set that is the lexicographically
-smallest sorted member list.  `enumerate_minimal_broadcasts` and the
-diametricality oracle `beats_diameter` search ascending: the oracle decides
-rather than optimizes, its window is [diam + 1, |E|], and its first find,
-the lexicographically smallest, closes it.
+hi.  Every search tries each vertex's strengths from the top down, with 0
+last, so it meets the vectors largest first in lexicographic order.  Each
+solver's witness is the lexicographically largest optimal strength vector,
+the first optimum found; for a set that is the lexicographically smallest
+sorted member list.  The diametricality oracle `beats_diameter` decides
+rather than optimizes: its window is [diam + 1, |E|], and its first find,
+the lexicographically largest vector in it, closes it.
 
 On a vertex-transitive graph, Gamma_b and Gamma search one orbit: every
 optimum has an image under some automorphism with its largest strength s0 at
@@ -53,7 +53,7 @@ from .broadcasts import (
     is_minimal_dominating_set,
 )
 from .errors import CapabilityError, InputError
-from .graphs import Graph, metrics
+from .graphs import Graph, is_connected, metrics
 
 DEFAULT_BROADCAST_NODE_CAP = 50_000_000
 
@@ -98,7 +98,8 @@ class InvariantReport:
 
 
 def _require_connected(g: Graph) -> None:
-    if not metrics(g).connected:
+    # one BFS, so that a disconnected graph never builds the all-pairs table
+    if not is_connected(g):
         raise CapabilityError("solver requires a connected graph")
 
 
@@ -146,22 +147,20 @@ class _SearchContext:
     suffix_cover: tuple[int, ...]  # union of the balls of vertices >= i at their caps
     suffix_strength: tuple[int, ...]  # sum of the caps of vertices >= i
     cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= caps[v]
-    descending: bool  # strengths from the top down at each vertex, 0 last
 
 
-def _search_context(g: Graph, top: int, descending: bool) -> _SearchContext:
-    """Search tables for strengths up to min(ecc(v), top) at each vertex v,
-    tried in descending or ascending order.
+def _search_context(g: Graph, top: int) -> _SearchContext:
+    """Search tables for strengths up to min(ecc(v), top) at each vertex v.
 
     top = 1 searches vertex sets, and top = n broadcasts.  A lone vertex, of
     eccentricity 0, still forms the set {v}, so its cap is 1.
     """
     m = metrics(g)
     caps = tuple(min(max(e, 1), top) for e in m.ecc)
-    return _with_caps(g, _Rows(m.dist, caps), caps, descending)
+    return _with_caps(g, _Rows(m.dist, caps), caps)
 
 
-def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...], descending: bool) -> _SearchContext:
+def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
     """A context on `rows` whose vertices are searched up to `caps`, each at
     most the row's top.  Reads each vertex's distance row once: its layer
     sizes give the cover ratio, and its ball at the cap the suffix cover."""
@@ -194,7 +193,6 @@ def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...], descending: bool) -
         tuple(suffix_cover),
         tuple(suffix_strength),
         (num, den),
-        descending,
     )
 
 
@@ -213,15 +211,15 @@ def _search_minimal_broadcasts(
     on_found: Callable[[int, tuple[int, ...]], None],
     s0: int = 0,
 ) -> None:
-    """DFS over strength vectors in lexicographic order, descending when
-    ctx.descending.
+    """DFS over strength vectors, largest first in lexicographic order: each
+    vertex tries its strengths from the top down, with 0 last.
 
     Calls on_found(cost, strengths) for every minimal dominating broadcast
     whose cost lies in the window [lo, hi] = `window`, with hi at most the
     edge count.  on_found may narrow the window by raising lo; raising it
     past hi closes the window and ends the search.  With s0 >= 1, vertex 0
     is fixed at strength s0 (at most its cap) and the search starts from the
-    state after it.
+    state after it.  A budget error also reports the size of the space.
     """
     n = ctx.n
     strengths = [0] * n
@@ -232,7 +230,6 @@ def _search_minimal_broadcasts(
     suffix_cover = ctx.suffix_cover
     suffix_strength = ctx.suffix_strength
     cover_num, cover_den = ctx.cover_ratio
-    descending = ctx.descending
     count = nodes.count
     node_cap = nodes.cap
 
@@ -240,8 +237,10 @@ def _search_minimal_broadcasts(
         nonlocal count
         count += 1
         if count > node_cap:
+            logsize = sum(math.log10(c + 1) for c in caps)
             raise CapabilityError(
-                f"broadcast search exceeded the node budget ({node_cap})"
+                f"broadcast search exceeded the node budget ({node_cap}); "
+                f"search space ~10^{logsize:.0f} strength vectors"
             )
         if i == n:
             if unheard == 0:
@@ -255,13 +254,6 @@ def _search_minimal_broadcasts(
         rest = suffix_strength[i + 1]
         first = lo - rest - total
         outside = ~suffix_cover[i + 1]  # vertices no later broadcaster can reach
-        # strength 0 first when ascending, last when descending
-        if not descending and first <= 0 and unheard & outside == 0:
-            rec(i + 1, total, unheard, exactly_one)
-            lo = window[0]
-            if hi < lo:
-                return
-            first = lo - rest - total
         row = rows[i]
         if row is None:
             row = build_row(i)
@@ -269,10 +261,9 @@ def _search_minimal_broadcasts(
         top = hi - total
         if top > caps[i]:
             top = caps[i]
-        low = first if first > 1 else 1
-        for s in range(top, low - 1, -1) if descending else range(low, top + 1):
-            if s < first:  # lo rose since the loop began
-                continue
+        for s in range(top, 0, -1):
+            if s < first:  # every smaller strength fails too; first rises with lo
+                break
             mine = cands[s]
             # mine lies inside the ball, whose unheard vertices are the only
             # ones there left heard exactly once: a private neighbor must be one
@@ -304,7 +295,7 @@ def _search_minimal_broadcasts(
             if hi < lo:
                 return
             first = lo - rest - total
-        if descending and first <= 0 and unheard & outside == 0:
+        if first <= 0 and unheard & outside == 0:
             rec(i + 1, total, unheard, exactly_one)
 
     start, unheard, exactly_one = 0, (1 << n) - 1, 0
@@ -319,19 +310,6 @@ def _search_minimal_broadcasts(
         nodes.count = count
 
 
-def _search(
-    ctx: _SearchContext, window: list[int], nodes: _Nodes, on_found, s0: int = 0
-) -> None:
-    """Run the search; a budget error also reports the size of the space."""
-    try:
-        _search_minimal_broadcasts(ctx, window, nodes, on_found, s0)
-    except CapabilityError as exc:
-        logsize = sum(math.log10(c + 1) for c in ctx.caps)
-        raise CapabilityError(
-            f"{exc}; search space ~10^{logsize:.0f} strength vectors"
-        ) from None
-
-
 def enumerate_minimal_broadcasts(
     g: Graph, cost_bound: int, budget: SolverBudget = DEFAULT_BUDGET
 ) -> list[Broadcast]:
@@ -340,15 +318,15 @@ def enumerate_minimal_broadcasts(
     _require_connected(g)
     if cost_bound < 0:
         raise InputError("cost bound must be non-negative")
-    ctx = _search_context(g, g.n, False)
+    ctx = _search_context(g, g.n)
     found: list[Broadcast] = []
-    _search(
+    _search_minimal_broadcasts(
         ctx,
         [0, min(cost_bound, ctx.edge_count)],
         _Nodes(budget.broadcast_node_cap),
         lambda _c, vec: found.append(Broadcast(vec)),
     )
-    return found
+    return found[::-1]  # the search meets them largest first
 
 
 # Distance comparisons the automorphism search may make on one graph before
@@ -440,11 +418,11 @@ def _solve(
     strengths up to top (1: a set), and its lexicographically largest
     witness.
 
-    The search meets the vectors in descending order, so the witness is the
+    The search meets the vectors largest first, so the witness is the
     first optimum found, and every find raises lo past its cost.
     """
     _require_connected(g)
-    ctx = _search_context(g, top, True)
+    ctx = _search_context(g, top)
     nodes = _Nodes(budget.broadcast_node_cap)
     found: list = []
 
@@ -464,11 +442,11 @@ def _solve(
             # a set search has one round, over the sets that hold vertex 0
             caps = ctx.caps
             rounds = (
-                (_with_caps(g, ctx.rows, tuple(min(c, s0) for c in caps), ctx.descending), s0)
+                (_with_caps(g, ctx.rows, tuple(min(c, s0) for c in caps)), s0)
                 for s0 in range(max(caps), 0, -1)
             )
         for round_ctx, s0 in rounds:
-            _search(round_ctx, window, nodes, on_found, s0)
+            _search_minimal_broadcasts(round_ctx, window, nodes, on_found, s0)
     else:
         # deepen hi until a round finds something, with one node budget for
         # all rounds; each round found nothing below hi, so its first find
@@ -477,7 +455,7 @@ def _solve(
 
         for hi in range(1, ctx.suffix_strength[0] + 1):
             window[:] = [0, hi]
-            _search(ctx, window, nodes, on_found)
+            _search_minimal_broadcasts(ctx, window, nodes, on_found)
             if found:
                 break
     value, vec = found[-1]
@@ -522,11 +500,11 @@ def solve_upper_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Inva
 
 
 def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast | None:
-    """The lexicographically first minimal dominating broadcast that costs
+    """The lexicographically largest minimal dominating broadcast that costs
     more than the diameter; None when there is none, that is when Gamma_b
     equals the diameter."""
     _require_connected(g)
-    ctx = _search_context(g, _broadcast_top(g), False)
+    ctx = _search_context(g, _broadcast_top(g))
     diameter = metrics(g).diameter
     window = [diameter + 1, ctx.edge_count]
     found: list = []
@@ -535,7 +513,7 @@ def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast
         found.append(vec)
         window[0] = window[1] + 1  # the first find decides
 
-    _search(ctx, window, _Nodes(budget.broadcast_node_cap), on_found)
+    _search_minimal_broadcasts(ctx, window, _Nodes(budget.broadcast_node_cap), on_found)
     if not found:
         return None
     witness = Broadcast(found[-1])

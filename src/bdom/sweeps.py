@@ -99,7 +99,7 @@ def classification_corpus(max_n: int = 9, count: int = 200, lo: int = 10,
 class TreeCheck:
     tree: Graph
     verdict: Verdict  # the structural rule's
-    beats: Broadcast | None  # the first minimal dominating broadcast costing more than diam
+    beats: Broadcast | None  # the largest minimal dominating broadcast costing more than diam
 
     @property
     def exact(self) -> bool:

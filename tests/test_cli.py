@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdom import cli, sweeps
 from bdom.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main, parse_family
@@ -420,3 +425,115 @@ def test_closed_stdout_pipe_exits_quietly(argv, expected):
         os.close(write_end)
     assert proc.returncode == expected
     assert proc.stderr == ""
+
+
+# --- input fuzzing -------------------------------------------------------------
+#
+# Every integer is drawn from -2..12, and every separator holds no digit, so no
+# two numbers run together: no example asks for a graph of more than a few
+# hundred vertices.
+
+SMALL = st.integers(-2, 12)
+
+
+@st.composite
+def graph_parts(draw):
+    """A vertex count and edges: often a path plus chords, so that many
+    examples are connected graphs, and now and then an edge drawn from the
+    whole range, which may be out of range or a self-loop."""
+    n = draw(SMALL)
+    edges = [(i, i + 1) for i in range(n - 1)] if draw(st.booleans()) else []
+    inside = st.integers(0, max(n - 1, 0))
+    edges += draw(st.lists(st.tuples(inside, inside).filter(lambda e: e[0] != e[1]), max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        edges.append(draw(st.tuples(SMALL, SMALL)))
+    return n, edges
+
+
+EDGE_TOKENS = st.one_of(SMALL.map(str), st.sampled_from(["", "#", "x", "1.5", "-", "0x3"]))
+EDGE_LIST_TEXT = st.one_of(
+    graph_parts().map(lambda p: "\n".join([str(p[0])] + [f"{u} {v}" for u, v in p[1]])),
+    # lines of loose tokens
+    st.lists(st.lists(EDGE_TOKENS, max_size=3).map(" ".join), max_size=6).map("\n".join),
+)
+JSON_SCALARS = st.one_of(SMALL, st.booleans(), st.none(), st.just(1.5), st.sampled_from(["3", "n"]))
+JSON_GRAPH_TEXT = st.one_of(
+    graph_parts().map(lambda p: json.dumps({"n": p[0], "edges": p[1]})),
+    st.fixed_dictionaries({
+        "n": JSON_SCALARS,
+        "edges": st.one_of(
+            st.lists(st.one_of(st.lists(JSON_SCALARS, max_size=3), JSON_SCALARS), max_size=6),
+            JSON_SCALARS,
+        ),
+    }).map(json.dumps),
+    st.lists(JSON_SCALARS, max_size=3).map(json.dumps),
+    st.sampled_from(["", "{", "[]", "null", '{"n": 3}', '{"edges": []}']),
+)
+FAMILY_SPECS = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["path", "cycle", "star"]), SMALL),
+    st.builds("{}:{},{}".format, st.sampled_from(["grid", "torus"]), SMALL, SMALL),
+    st.builds(
+        lambda d, limbs: f"lobster:{d}" + "".join(
+            f"{':' if i == 0 else ';'}{pos},{kind}" for i, (pos, kind) in enumerate(limbs)
+        ),
+        SMALL, st.lists(st.tuples(SMALL, st.sampled_from("ABCD")), max_size=4),
+    ),
+    # loose numbers joined by separators that hold no digit
+    st.builds(
+        lambda head, colon, first, rest: head + colon + str(first) + "".join(map("".join, rest)),
+        st.sampled_from(["path", "cycle", "star", "grid", "torus", "lobster", "blob", ""]),
+        st.sampled_from([":", "", "::"]),
+        SMALL,
+        st.lists(
+            st.tuples(st.sampled_from([",", ";", ":", ",A;", ",B;", ",C", ",D", "x", " "]),
+                      SMALL.map(str)),
+            max_size=4,
+        ),
+    ),
+)
+
+
+def run_quietly(argv):
+    """main's exit code, stdout and stderr, with the streams captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err):
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET, EXIT_MISMATCH)
+    if code == EXIT_INPUT:
+        assert err.startswith("error: ") and out == ""
+    elif code == EXIT_BUDGET:
+        assert err.startswith("capability error: ") and out == ""
+
+
+GRAPH_FILES = st.one_of(
+    EDGE_LIST_TEXT.map(lambda text: ("g.edges", text)),
+    JSON_GRAPH_TEXT.map(lambda text: ("g.json", text)),
+)
+
+
+@given(GRAPH_FILES, st.sampled_from(sorted(sweeps.INVARIANT_SOLVERS)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_invariant_survives_any_graph_file(graph_file, which):
+    name, text = graph_file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        code, out, err = run_quietly(
+            ["invariant", "--graph", str(path), "--which", which, "--budget-nodes", "1000"]
+        )
+    assert_clean_exit(code, out, err)
+    if code == EXIT_OK:
+        assert json.loads(out)["invariant"] == which
+
+
+@given(FAMILY_SPECS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_generate_survives_any_family_spec(spec):
+    code, out, err = run_quietly(["generate", f"--family={spec}"])
+    assert_clean_exit(code, out, err)
+    if code == EXIT_OK:
+        assert parse_edge_list(out) == parse_family(spec)[3]

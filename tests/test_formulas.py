@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from bdom import formulas
 from bdom.errors import CapabilityError, InputError
-from bdom.graphs import gen_torus, metrics
+from bdom.graphs import bfs_distances, gen_torus
 
 
 def test_upper_gamma_c3_torus():
@@ -82,23 +82,13 @@ def test_grid_is_diametrical():
     assert not formulas.grid_is_diametrical(1, 1)  # a single vertex never is
 
 
-def test_torus_diameter():
-    assert formulas.torus_diameter(3, 3) == 2
-    assert formulas.torus_diameter(4, 6) == 5
-    assert formulas.torus_diameter(5, 5) == 4 == metrics(gen_torus(5, 5)).diameter
-
-
 @given(st.integers(3, 50), st.integers(3, 50))
 @settings(max_examples=120, deadline=None)
 def test_upper_broadcast_torus_exceeds_diameter(m, n):
     if m > n:
         m, n = n, m
-    assert formulas.upper_gamma_b_torus(m, n) > formulas.torus_diameter(m, n)
-
-
-def test_torus_diameter_matches_bfs():
-    for m, n in [(3, 3), (3, 4), (4, 4), (4, 5), (5, 6)]:
-        assert formulas.torus_diameter(m, n) == metrics(gen_torus(m, n)).diameter
+    # the torus is vertex-transitive, so one eccentricity is the diameter
+    assert formulas.upper_gamma_b_torus(m, n) > max(bfs_distances(gen_torus(m, n), 0))
 
 
 def test_evaluate_dispatch():

@@ -158,14 +158,15 @@ def test_pruned_search_equals_unpruned_enumeration(g):
     bound = g.edge_count()
     got = [b.strengths for b in enumerate_minimal_broadcasts(g, bound)]
     assert got == sorted(b.strengths for b in brute)
+    assert_beats_diameter_matches_brute(g, brute)
 
 
 def assert_beats_diameter_matches_brute(g, brute):
-    """The decision search finds the lexicographically first broadcast of
+    """The decision search finds the lexicographically largest broadcast of
     the unpruned enumeration that costs more than the diameter, or None."""
     d = metrics(g).diameter
-    first = min((b for b in brute if cost(b) > d), key=lambda b: b.strengths, default=None)
-    assert beats_diameter(g) == first
+    largest = max((b for b in brute if cost(b) > d), key=lambda b: b.strengths, default=None)
+    assert beats_diameter(g) == largest
 
 
 @given(st.integers(4, 7), st.data())
@@ -269,11 +270,16 @@ def test_node_budget_bounds_the_set_search():
 
 
 def test_solvers_reject_disconnected():
-    g = build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(CapabilityError):
-        solve_gamma(g)
-    with pytest.raises(CapabilityError):
-        solve_upper_gamma_b(g)
+    # a path of 200 vertices cut in two: one BFS refuses it, and the
+    # all-pairs table, kept on the graph once built, never exists
+    g = build_graph(200, [(i, i + 1) for i in range(199) if i != 99])
+    for search in (
+        solve_gamma, solve_upper_gamma, solve_gamma_b, solve_upper_gamma_b, beats_diameter,
+        lambda g: enumerate_minimal_broadcasts(g, 3),
+    ):
+        with pytest.raises(CapabilityError, match="connected"):
+            search(g)
+        assert "_metrics" not in vars(g)
 
 
 def test_broadcast_solvers_reject_single_vertex():
@@ -411,9 +417,11 @@ def test_automorphism_search_past_its_cap_runs_the_plain_search(monkeypatch):
 def test_rows_are_built_where_the_search_goes():
     # ten nodes reach at most ten vertices, so at most ten of the 1000 rows exist
     g = gen_path(1000)
-    ctx = solvers._search_context(g, g.n, False)
+    ctx = solvers._search_context(g, g.n)
     with pytest.raises(CapabilityError, match="node budget"):
-        solvers._search(ctx, [0, ctx.edge_count], solvers._Nodes(10), lambda _c, _vec: None)
+        solvers._search_minimal_broadcasts(
+            ctx, [0, ctx.edge_count], solvers._Nodes(10), lambda _c, _vec: None
+        )
     assert sum(row is not None for row in ctx.rows.built) <= 10
 
 

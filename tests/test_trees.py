@@ -113,3 +113,16 @@ def test_canonical_form_of_a_deep_tree():
     relabeled = build_graph(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
     assert canonical_form(relabeled) == canonical_form(gen_path(n))
     assert len(canonical_form(gen_path(n))) == 2 * n
+
+
+def test_enumeration_matches_networkx_classes():
+    # the classes themselves, not only their counts, against an independent
+    # generator
+    nx = pytest.importorskip("networkx")
+    ours: dict[int, set[str]] = {n: set() for n in range(2, 13)}
+    for t in enumerate_trees(12):
+        if t.n >= 2:
+            ours[t.n].add(canonical_form(t))
+    for n in range(2, 13):
+        theirs = {canonical_form(build_graph(n, h.edges())) for h in nx.nonisomorphic_trees(n)}
+        assert ours[n] == theirs, n
