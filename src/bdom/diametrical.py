@@ -38,9 +38,13 @@ On the acceptance corpus (all trees up to 9 vertices plus 200 seeded random
 trees) the rule and the oracle disagree on 9 of 295 trees.
 
 The oracle is a decision search, `solvers.beats_diameter`: it returns the
-lexicographically largest minimal dominating broadcast that costs more than
-the diameter, its first find, which certifies a non-diametrical graph, or
-None for a diametrical one.
+first minimal dominating broadcast it finds that costs more than the
+diameter, which certifies a non-diametrical graph, or None for a
+diametrical one.  It searches the vertices by distance from the
+least-labelled vertex of largest eccentricity, ties by label, so that its
+work does not hang on how a tree happens to be labelled; its witness is the
+lexicographically largest such broadcast read in that order.  The solvers
+behind the invariants keep label order, since their witnesses are printed.
 """
 
 from __future__ import annotations

@@ -25,8 +25,15 @@ last, so it meets the vectors largest first in lexicographic order.  Each
 solver's witness is the lexicographically largest optimal strength vector,
 the first optimum found; for a set that is the lexicographically smallest
 sorted member list.  The diametricality oracle `beats_diameter` decides
-rather than optimizes: its window is [diam + 1, |E|], and its first find,
-the lexicographically largest vector in it, closes it.
+rather than optimizes: its window is [diam + 1, |E|], and its first find
+closes it.  It searches the vertices by distance from the least-labelled
+vertex of largest eccentricity, ties by label, the starting rule of
+Cuthill and McKee's bandwidth ordering: each branch's vertices then come
+together, so its cuts fire early whatever the labels.  Its witness is the
+lexicographically largest vector in the window with strengths read in that
+order.  The four solvers keep label order: their witnesses, which the CLI
+prints, are defined on the graph's own labels, and the orbit search below
+fixes vertex 0 first.
 
 On a vertex-transitive graph, Gamma_b and Gamma search one orbit: every
 optimum has an image under some automorphism with its largest strength s0 at
@@ -114,18 +121,27 @@ def _check_witness(invariant: str, ok: bool) -> None:
 
 
 class _Rows:
-    """built[v] = (ball, cand) for the strengths 0..tops[v] of vertex v, or
-    None until the search first reaches v: ball[s] holds the vertices within
-    distance s of v, cand[s] the spots where a broadcaster of strength s at
-    v may keep its private neighbor."""
+    """The graph's distance rows read in a search order: position i is
+    vertex order[i].  built[i] = (ball, cand) for the strengths 0..tops[i]
+    of that vertex v, or None until the search first reaches it: ball[s]
+    holds the vertices within distance s of v, cand[s] the spots where a
+    broadcaster of strength s at v may keep its private neighbor.  The sets
+    are bit masks over the graph's own labels."""
 
-    def __init__(self, dist: tuple[tuple[int, ...], ...], tops: tuple[int, ...]):
+    def __init__(
+        self,
+        dist: tuple[tuple[int, ...], ...],
+        tops: tuple[int, ...],
+        order: tuple[int, ...],
+    ):
         self.dist = dist
         self.tops = tops
+        self.order = order
         self.built: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * len(tops)
 
-    def build(self, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        top = self.tops[v]
+    def build(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        v = self.order[i]
+        top = self.tops[i]
         spheres = [0] * (top + 1)
         for u, d in enumerate(self.dist[v]):
             if d <= top:
@@ -134,34 +150,38 @@ class _Rows:
         # a private neighbor must sit at distance exactly s, except that a
         # strength-1 broadcaster may also be its own private neighbor
         spheres[1] |= 1 << v
-        row = self.built[v] = (ball, tuple(spheres))
+        row = self.built[i] = (ball, tuple(spheres))
         return row
 
 
 @dataclass(frozen=True)
 class _SearchContext:
+    """Tables indexed by search position: position i is vertex rows.order[i]."""
+
     n: int
     edge_count: int
-    caps: tuple[int, ...]  # caps[v]: the largest strength searched at v
-    rows: _Rows  # built up to strengths at least caps[v]
-    suffix_cover: tuple[int, ...]  # union of the balls of vertices >= i at their caps
-    suffix_strength: tuple[int, ...]  # sum of the caps of vertices >= i
-    cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= caps[v]
+    caps: tuple[int, ...]  # caps[i]: the largest strength searched at position i
+    rows: _Rows  # built up to strengths at least caps[i]
+    suffix_cover: tuple[int, ...]  # union of the balls at positions >= i at their caps
+    suffix_strength: tuple[int, ...]  # sum of the caps at positions >= i
+    cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= cap of v
 
 
-def _search_context(g: Graph, top: int) -> _SearchContext:
-    """Search tables for strengths up to min(ecc(v), top) at each vertex v.
+def _search_context(g: Graph, top: int, order: tuple[int, ...] | None = None) -> _SearchContext:
+    """Search tables for strengths up to min(ecc(v), top) at each vertex v,
+    searched in `order`, label order when None.
 
     top = 1 searches vertex sets, and top = n broadcasts.  A lone vertex, of
     eccentricity 0, still forms the set {v}, so its cap is 1.
     """
     m = metrics(g)
-    caps = tuple(min(max(e, 1), top) for e in m.ecc)
-    return _with_caps(g, _Rows(m.dist, caps), caps)
+    order = tuple(range(g.n)) if order is None else order
+    caps = tuple(min(max(m.ecc[v], 1), top) for v in order)
+    return _with_caps(g, _Rows(m.dist, caps, order), caps)
 
 
 def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
-    """A context on `rows` whose vertices are searched up to `caps`, each at
+    """A context on `rows` whose positions are searched up to `caps`, each at
     most the row's top.  Reads each vertex's distance row once: its layer
     sizes give the cover ratio, and its ball at the cap the suffix cover."""
     m = metrics(g)
@@ -169,8 +189,9 @@ def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
     num, den = 0, 1  # largest |ball(v, s)| / s
     suffix_cover = [0] * (n + 1)
     suffix_strength = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        row, cap = m.dist[v], caps[v]
+    for i in range(n - 1, -1, -1):
+        v, cap = rows.order[i], caps[i]
+        row = m.dist[v]
         layers = Counter(row)
         size = 1
         for s in range(1, cap + 1):
@@ -183,8 +204,8 @@ def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
             ball = (1 << n) - 1
         else:
             ball = sum(1 << u for u, d in enumerate(row) if d <= cap)
-        suffix_cover[v] = suffix_cover[v + 1] | ball
-        suffix_strength[v] = suffix_strength[v + 1] + cap
+        suffix_cover[i] = suffix_cover[i + 1] | ball
+        suffix_strength[i] = suffix_strength[i + 1] + cap
     return _SearchContext(
         n,
         g.edge_count(),
@@ -212,14 +233,15 @@ def _search_minimal_broadcasts(
     s0: int = 0,
 ) -> None:
     """DFS over strength vectors, largest first in lexicographic order: each
-    vertex tries its strengths from the top down, with 0 last.
+    position of ctx tries its strengths from the top down, with 0 last.
 
     Calls on_found(cost, strengths) for every minimal dominating broadcast
     whose cost lies in the window [lo, hi] = `window`, with hi at most the
-    edge count.  on_found may narrow the window by raising lo; raising it
-    past hi closes the window and ends the search.  With s0 >= 1, vertex 0
-    is fixed at strength s0 (at most its cap) and the search starts from the
-    state after it.  A budget error also reports the size of the space.
+    edge count; strengths[i] is the strength of vertex ctx.rows.order[i].
+    on_found may narrow the window by raising lo; raising it past hi closes
+    the window and ends the search.  With s0 >= 1, position 0 is fixed at
+    strength s0 (at most its cap) and the search starts from the state
+    after it.  A budget error also reports the size of the space.
     """
     n = ctx.n
     strengths = [0] * n
@@ -500,13 +522,21 @@ def solve_upper_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Inva
 
 
 def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast | None:
-    """The lexicographically largest minimal dominating broadcast that costs
-    more than the diameter; None when there is none, that is when Gamma_b
-    equals the diameter."""
+    """A minimal dominating broadcast that costs more than the diameter;
+    None when there is none, that is when Gamma_b equals the diameter.
+
+    The search takes the vertices by distance from the least-labelled vertex
+    of largest eccentricity, ties by label, so that each branch's vertices
+    come together and the cuts fire early whatever the labels.  The witness
+    is the lexicographically largest such broadcast with its strengths read
+    in that order.
+    """
     _require_connected(g)
-    ctx = _search_context(g, _broadcast_top(g))
-    diameter = metrics(g).diameter
-    window = [diameter + 1, ctx.edge_count]
+    m = metrics(g)
+    far = m.dist[m.ecc.index(m.diameter)]
+    order = tuple(sorted(range(g.n), key=far.__getitem__))  # stable: ties by label
+    ctx = _search_context(g, _broadcast_top(g), order)
+    window = [m.diameter + 1, ctx.edge_count]
     found: list = []
 
     def on_found(_c, vec):
@@ -516,9 +546,12 @@ def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast
     _search_minimal_broadcasts(ctx, window, _Nodes(budget.broadcast_node_cap), on_found)
     if not found:
         return None
-    witness = Broadcast(found[-1])
+    strengths = [0] * g.n
+    for v, s in zip(order, found[-1]):
+        strengths[v] = s
+    witness = Broadcast(tuple(strengths))
     _check_witness(
         "beats_diameter",
-        is_minimal_dominating_broadcast(g, witness) and cost(witness) > diameter,
+        is_minimal_dominating_broadcast(g, witness) and cost(witness) > m.diameter,
     )
     return witness

@@ -99,7 +99,11 @@ def classification_corpus(max_n: int = 9, count: int = 200, lo: int = 10,
 class TreeCheck:
     tree: Graph
     verdict: Verdict  # the structural rule's
-    beats: Broadcast | None  # the largest minimal dominating broadcast costing more than diam
+    # a minimal dominating broadcast costing more than diam: the largest one
+    # with strengths read in the oracle's order (by distance from the
+    # least-labelled peripheral vertex, then by label), not in label order as
+    # the solvers' printed witnesses are; nothing prints it
+    beats: Broadcast | None
 
     @property
     def exact(self) -> bool:

@@ -32,6 +32,7 @@ from bdom.graphs import (
     metrics,
 )
 from bdom.solvers import solve_upper_gamma_b
+from bdom.sweeps import check_tree, summarize
 from bdom.trees import canonical_form, eccentricities, enumerate_trees, random_tree, tree_centers
 
 
@@ -282,6 +283,15 @@ def test_concatenate_diameter_additivity():
 def test_concatenate_rejects_non_tree():
     with pytest.raises(InputError):
         concatenate(gen_cycle(4), (0, 1), gen_path(2), (0, 1))
+
+
+def test_exhaustive_sweep_up_to_12_vertices():
+    # every tree up to the enumeration cap, the rule against the oracle
+    checks = [check_tree(t) for t in enumerate_trees(12)]
+    assert summarize(checks) == {"trees": 987, "diametrical": 121, "agreements": 967, "disagreements": 20}
+    assert sum(c.tree.n > 1 for c in checks) == 986
+    assert sum(c.verdict.diametrical and not c.exact for c in checks) == 17
+    assert sum(c.exact and not c.verdict.diametrical for c in checks) == 3
 
 
 def test_is_diametrical_exact_named_graphs():

@@ -20,10 +20,12 @@ from bdom.broadcasts import (
 )
 from bdom.errors import CapabilityError, InputError
 from bdom.graphs import (
+    LobsterSpec,
     build_graph,
     cartesian_product,
     gen_cycle,
     gen_grid,
+    gen_lobster,
     gen_path,
     gen_star,
     gen_torus,
@@ -38,7 +40,7 @@ from bdom.solvers import (
     solve_upper_gamma,
     solve_upper_gamma_b,
 )
-from bdom.trees import enumerate_trees, prufer_to_graph
+from bdom.trees import enumerate_trees, prufer_to_graph, random_tree
 
 
 def test_gamma_figure(fig_graph):
@@ -162,10 +164,18 @@ def test_pruned_search_equals_unpruned_enumeration(g):
 
 
 def assert_beats_diameter_matches_brute(g, brute):
-    """The decision search finds the lexicographically largest broadcast of
-    the unpruned enumeration that costs more than the diameter, or None."""
-    d = metrics(g).diameter
-    largest = max((b for b in brute if cost(b) > d), key=lambda b: b.strengths, default=None)
+    """The decision search finds the largest broadcast of the unpruned
+    enumeration that costs more than the diameter, or None, comparing
+    strengths read in the oracle's order: by distance from the
+    least-labelled vertex of largest eccentricity, then by label."""
+    m = metrics(g)
+    far = min(v for v in range(g.n) if m.ecc[v] == m.diameter)
+    order = sorted(range(g.n), key=lambda v: (m.dist[far][v], v))
+    largest = max(
+        (b for b in brute if cost(b) > m.diameter),
+        key=lambda b: [b.strengths[v] for v in order],
+        default=None,
+    )
     assert beats_diameter(g) == largest
 
 
@@ -218,6 +228,29 @@ def test_beats_diameter_equals_full_search(g):
     assert (beats is None) == (solve_upper_gamma_b(g).value == d)
     if beats is not None:
         assert is_minimal_dominating_broadcast(g, beats) and cost(beats) > d
+
+
+RING_WITH_LEAVES = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (3, 7)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_tree(n, random.Random(n)) for n in range(10, 15)]
+    + [gen_lobster(LobsterSpec(8, ((2, "C"), (5, "B")))),
+       gen_lobster(LobsterSpec(9, ((2, "A"), (6, "C"))))]
+    + [RING_WITH_LEAVES, gen_grid(3, 4)],
+    ids=lambda g: f"n{g.n}m{g.edge_count()}",
+)
+def test_beats_diameter_verdict_ignores_labels(g):
+    # the oracle's search order follows the labels, its verdict must not;
+    # the full label-order search gives the verdict
+    verdict = solve_upper_gamma_b(g).value == metrics(g).diameter
+    for seed in range(12):
+        h = relabelled(g, seed)
+        beats = beats_diameter(h)
+        assert (beats is None) == verdict
+        if beats is not None:
+            assert is_minimal_dominating_broadcast(h, beats) and cost(beats) > metrics(h).diameter
 
 
 SANDWICH_GRAPHS = [
