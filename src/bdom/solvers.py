@@ -15,6 +15,10 @@ caller may narrow as results come in, and it cuts a subtree when
 * some vertex that no later vertex can reach is still unheard;
 * the window is empty, or full strength on every later vertex cannot lift
   the cost to lo;
+* the unheard set U' left after a position cannot lift the cost to lo:
+  every later broadcaster needs a private neighbor heard by it alone, so
+  one still in U' and no other's (Dunbar et al., "Broadcasts in graphs",
+  2006), and the later positions add at most |U'| times their largest cap;
 * hearing the unheard set U cannot fit under hi: with rho = max |ball(v, s)|
   / s over all vertices v and searched strengths s >= 1, a broadcaster of
   strength s hears at most rho * s vertices, so U costs at least |U| / rho.
@@ -164,6 +168,7 @@ class _SearchContext:
     rows: _Rows  # built up to strengths at least caps[i]
     suffix_cover: tuple[int, ...]  # union of the balls at positions >= i at their caps
     suffix_strength: tuple[int, ...]  # sum of the caps at positions >= i
+    suffix_top: tuple[int, ...]  # largest cap at positions >= i: what each later broadcaster adds
     cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= cap of v
 
 
@@ -189,6 +194,7 @@ def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
     num, den = 0, 1  # largest |ball(v, s)| / s
     suffix_cover = [0] * (n + 1)
     suffix_strength = [0] * (n + 1)
+    suffix_top = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         v, cap = rows.order[i], caps[i]
         row = m.dist[v]
@@ -206,6 +212,7 @@ def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
             ball = sum(1 << u for u, d in enumerate(row) if d <= cap)
         suffix_cover[i] = suffix_cover[i + 1] | ball
         suffix_strength[i] = suffix_strength[i + 1] + cap
+        suffix_top[i] = max(suffix_top[i + 1], cap)
     return _SearchContext(
         n,
         g.edge_count(),
@@ -213,6 +220,7 @@ def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
         rows,
         tuple(suffix_cover),
         tuple(suffix_strength),
+        tuple(suffix_top),
         (num, den),
     )
 
@@ -251,6 +259,7 @@ def _search_minimal_broadcasts(
     caps = ctx.caps
     suffix_cover = ctx.suffix_cover
     suffix_strength = ctx.suffix_strength
+    suffix_top = ctx.suffix_top
     cover_num, cover_den = ctx.cover_ratio
     count = nodes.count
     node_cap = nodes.cap
@@ -275,6 +284,9 @@ def _search_minimal_broadcasts(
         # s, so only strengths from `first` on can pass
         rest = suffix_strength[i + 1]
         first = lo - rest - total
+        # each later broadcaster adds at most `most` and keeps a private
+        # neighbor of its own that is still unheard
+        most = suffix_top[i + 1]
         outside = ~suffix_cover[i + 1]  # vertices no later broadcaster can reach
         row = rows[i]
         if row is None:
@@ -295,6 +307,9 @@ def _search_minimal_broadcasts(
             heard_now = unheard & b
             new_unheard = unheard ^ heard_now
             if new_unheard & outside:
+                continue
+            need = lo - total - s
+            if need > 0 and new_unheard.bit_count() * most < need:
                 continue
             heard_twice = exactly_one & b
             new_exactly_one = exactly_one ^ heard_twice | heard_now
@@ -318,7 +333,9 @@ def _search_minimal_broadcasts(
                 return
             first = lo - rest - total
         if first <= 0 and unheard & outside == 0:
-            rec(i + 1, total, unheard, exactly_one)
+            need = lo - total
+            if need <= 0 or unheard.bit_count() * most >= need:
+                rec(i + 1, total, unheard, exactly_one)
 
     start, unheard, exactly_one = 0, (1 << n) - 1, 0
     if s0:

@@ -290,16 +290,25 @@ def test_gamma_b_of_a_long_path_within_a_small_budget():
     assert solve_gamma_b(gen_path(60), SolverBudget(10_000)).value == 20
 
 
+def test_torus_maxima_within_small_budgets():
+    # the unheard-count cut: without it Gamma_b(C6xC6) takes 3.70M nodes
+    # and Gamma(C6xC6) 0.94M
+    g = gen_torus(6, 6)
+    assert solve_upper_gamma_b(g, SolverBudget(1_000_000)).value == 24
+    assert solve_upper_gamma(g, SolverBudget(400_000)).value == 18
+
+
 def test_node_budget_reports_estimate():
+    # C3xC4 takes 44 nodes
     g = gen_torus(3, 4)
     with pytest.raises(CapabilityError, match="search space"):
-        solve_upper_gamma_b(g, SolverBudget(broadcast_node_cap=50))
+        solve_upper_gamma_b(g, SolverBudget(broadcast_node_cap=10))
 
 
 def test_node_budget_bounds_the_set_search():
     g = gen_torus(3, 4)
     with pytest.raises(CapabilityError, match="search space"):
-        solve_upper_gamma(g, SolverBudget(broadcast_node_cap=50))
+        solve_upper_gamma(g, SolverBudget(broadcast_node_cap=10))
 
 
 def test_solvers_reject_disconnected():
