@@ -5,22 +5,36 @@ a longest path, and so does the vertex b farthest from a; every vertex is
 farthest from a or from b, so three BFS give every eccentricity, and with
 them the centers.
 
-Exhaustive generation walks rooted level sequences (the classic successor
-rule that rewrites the tail of the sequence) and keeps one representative per
-free-tree isomorphism class via a center-rooted canonical string.  Random
-trees come from uniform Prüfer sequences with a caller-supplied RNG.
+Exhaustive generation walks the canonical level sequences of rooted trees
+(the Beyer-Hedetniemi successor rule, which rewrites the tail of the
+sequence) and keeps one representative per free-tree isomorphism class via a
+center-rooted canonical string.  The walk meets the sequences in decreasing
+lexicographic order, so it first meets each free tree at its largest rooting.
+A canonical sequence of a root of height h starts 0, 1, ..., h, and every
+other entry is at most h, so a taller rooting is the larger one; the tallest
+rootings have height diam, and for n >= 3 their roots are the leaves ending a
+longest path.  So only leaf rootings need walking: the rooted trees on n - 1
+vertices, each hung under a new root, in the same relative order.  Of those,
+only a rooting whose height equals its diameter can be a first meeting, and
+the others are skipped before any string is built.  This yields the same
+trees, with the same labels and in the same order, as the walk over every
+rooting, and builds a `Graph` only for a tree it yields.  (Wright, Richmond,
+Odlyzko and McKay, SIAM J. Comput. 15, 1986, generate free trees directly,
+in another order.)
+
+Random trees come from uniform Prüfer sequences with a caller-supplied RNG.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CapabilityError, InputError
 from .graphs import Graph, bfs_distances, build_graph, is_connected
 
-EXHAUSTIVE_TREE_CAP = 12
+EXHAUSTIVE_TREE_CAP = 14
 
 
 def is_tree(g: Graph) -> bool:
@@ -44,26 +58,26 @@ def tree_centers(g: Graph) -> tuple[int, ...]:
     return tuple(v for v, e in enumerate(ecc) if e == radius)
 
 
-def _rooted_canonical(g: Graph, root: int) -> str:
+def _rooted_canonical(adjacency: Sequence[Sequence[int]], root: int) -> str:
     """The children's strings of each vertex, sorted, in parentheses; built
     children before parents, in reverse BFS order, so depth costs no stack."""
-    parent = [-1] * g.n
+    parent = [-1] * len(adjacency)
     order = [root]
     for v in order:
-        for w in g.adjacency[v]:
+        for w in adjacency[v]:
             if w != parent[v]:
                 parent[w] = v
                 order.append(w)
     code: dict[int, str] = {}
     for v in reversed(order):
-        code[v] = "(" + "".join(sorted([code.pop(w) for w in g.adjacency[v] if w != parent[v]])) + ")"
+        code[v] = "(" + "".join(sorted([code.pop(w) for w in adjacency[v] if w != parent[v]])) + ")"
     return code[root]
 
 
 def canonical_form(g: Graph) -> str:
     """Isomorphism-invariant string for a tree (equal iff trees isomorphic)."""
     centers = tree_centers(g)
-    return min(_rooted_canonical(g, c) for c in centers)
+    return min(_rooted_canonical(g.adjacency, c) for c in centers)
 
 
 def _level_sequences(n: int) -> Iterator[list[int]]:
@@ -74,31 +88,54 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
     seq = list(range(n))  # the path, lexicographically largest sequence
     while True:
         yield seq
-        p = max((i for i in range(n) if seq[i] > 1), default=None)
-        if p is None:
-            return
-        q = max(i for i in range(p) if seq[i] == seq[p] - 1)
+        p = n - 1  # the last entry above 1
+        while seq[p] <= 1:
+            if p == 1:  # the star, the smallest sequence
+                return
+            p -= 1
+        q = p - 1  # the parent of p
+        while seq[q] != seq[p] - 1:
+            q -= 1
         for i in range(p, n):
             seq[i] = seq[i - (p - q)]
 
 
-def _level_sequence_to_graph(seq: list[int]) -> Graph:
+def _leaf_rooted_key(seq: list[int]) -> tuple[list[int], str | None]:
+    """The parent array of a leaf-rooted level sequence, and the canonical
+    string of its tree if its height equals its diameter, else None.
+
+    The sequence starts 0, 1, ..., h, so when h is the diameter the vertices
+    0..h are a longest path and its middle one or two are the centers."""
     n = len(seq)
-    edges = []
+    parent = [0] * n
     stack = [0]  # vertices on the path from the root, indexed by level
     for i in range(1, n):
-        level = seq[i]
-        del stack[level:]
-        edges.append((stack[-1], i))
+        del stack[seq[i]:]
+        parent[i] = stack[-1]
         stack.append(i)
-    return build_graph(n, edges)
+    down = [0] * n  # the height of each vertex's subtree
+    diameter = 0
+    for i in range(n - 1, 0, -1):  # children before parents
+        p, h = parent[i], down[i] + 1
+        if down[p] + h > diameter:
+            diameter = down[p] + h
+        if h > down[p]:
+            down[p] = h
+    if down[0] != diameter:
+        return parent, None
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        adjacency[i].append(parent[i])
+        adjacency[parent[i]].append(i)
+    return parent, min(_rooted_canonical(adjacency, c) for c in {diameter // 2, (diameter + 1) // 2})
 
 
 def enumerate_trees(max_n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of trees on 1..max_n vertices.
 
     Deterministic order: by vertex count, then by first appearance in the
-    level-sequence walk.  Capped because the class counts grow fast.
+    level-sequence walk, each tree labelled by its largest rooting's
+    sequence.  Capped because the class counts grow fast.
     """
     if max_n < 1:
         raise InputError(f"max_n must be positive, got {max_n}")
@@ -107,14 +144,14 @@ def enumerate_trees(max_n: int) -> Iterator[Graph]:
             f"exhaustive tree enumeration capped at {EXHAUSTIVE_TREE_CAP} vertices"
             f" (asked for {max_n}); use random_tree for larger sizes"
         )
-    for n in range(1, max_n + 1):
+    yield build_graph(1, [])
+    for n in range(2, max_n + 1):
         seen: set[str] = set()
-        for seq in _level_sequences(n):
-            t = _level_sequence_to_graph(seq)
-            key = canonical_form(t)
-            if key not in seen:
+        for sub in _level_sequences(n - 1):
+            parent, key = _leaf_rooted_key([0] + [x + 1 for x in sub])
+            if key is not None and key not in seen:
                 seen.add(key)
-                yield t
+                yield build_graph(n, [(parent[i], i) for i in range(1, n)])
 
 
 def prufer_to_graph(seq: tuple[int, ...], n: int) -> Graph:

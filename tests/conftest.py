@@ -24,6 +24,7 @@ from bdom.diametrical import (
     decompose,
 )
 from bdom.graphs import Graph, build_graph, metrics
+from bdom.trees import canonical_form
 
 
 @pytest.fixture
@@ -112,3 +113,30 @@ def reference_classify(t: Graph) -> dict:
     passed = [o for o in outcomes if isinstance(o, LimbDecomposition)]
     verdict = Verdict(True, witness=passed[0]) if passed else Verdict(False, reason=outcomes[0])
     return verdict.to_json_dict()
+
+
+def reference_trees(max_n: int):
+    """The walk over every rooting: each canonical level sequence on 1..max_n
+    vertices in decreasing lexicographic order (Beyer and Hedetniemi's
+    successor rule), its tree built, and a tree kept when `canonical_form`
+    first meets its class."""
+    for n in range(1, max_n + 1):
+        seen = set()
+        seq = list(range(n))
+        while True:
+            stack, edges = [0], []
+            for i in range(1, n):
+                del stack[seq[i]:]
+                edges.append((stack[-1], i))
+                stack.append(i)
+            t = build_graph(n, edges)
+            key = canonical_form(t)
+            if key not in seen:
+                seen.add(key)
+                yield t
+            p = max((i for i in range(n) if seq[i] > 1), default=None)
+            if p is None:
+                break
+            q = max(i for i in range(p) if seq[i] == seq[p] - 1)
+            for i in range(p, n):
+                seq[i] = seq[i - (p - q)]

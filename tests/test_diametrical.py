@@ -286,7 +286,7 @@ def test_concatenate_rejects_non_tree():
 
 
 def test_exhaustive_sweep_up_to_12_vertices():
-    # every tree up to the enumeration cap, the rule against the oracle
+    # every tree of up to 12 vertices, the rule against the oracle
     checks = [check_tree(t) for t in enumerate_trees(12)]
     assert summarize(checks) == {"trees": 987, "diametrical": 121, "agreements": 967, "disagreements": 20}
     assert sum(c.tree.n > 1 for c in checks) == 986

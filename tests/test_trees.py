@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_trees
+
 from bdom.errors import CapabilityError, InputError
-from bdom.graphs import build_graph, gen_path, gen_star
+from bdom.graphs import build_graph, gen_path, gen_star, metrics
 from bdom.trees import (
+    _leaf_rooted_key,
+    _level_sequences,
     canonical_form,
     enumerate_trees,
     is_tree,
@@ -68,7 +73,7 @@ def test_enumeration_deterministic():
 
 def test_enumeration_cap():
     with pytest.raises(CapabilityError):
-        list(enumerate_trees(13))
+        list(enumerate_trees(15))
     with pytest.raises(InputError):
         list(enumerate_trees(0))
 
@@ -117,12 +122,44 @@ def test_canonical_form_of_a_deep_tree():
 
 def test_enumeration_matches_networkx_classes():
     # the classes themselves, not only their counts, against an independent
-    # generator
+    # generator, up to the enumeration cap
     nx = pytest.importorskip("networkx")
-    ours: dict[int, set[str]] = {n: set() for n in range(2, 13)}
-    for t in enumerate_trees(12):
+    ours: dict[int, set[str]] = {n: set() for n in range(2, 15)}
+    for t in enumerate_trees(14):
         if t.n >= 2:
             ours[t.n].add(canonical_form(t))
-    for n in range(2, 13):
+    for n in range(2, 15):
         theirs = {canonical_form(build_graph(n, h.edges())) for h in nx.nonisomorphic_trees(n)}
         assert ours[n] == theirs, n
+
+
+def test_enumeration_equals_the_walk_over_every_rooting():
+    # the leaf-rooted walk yields graph for graph, labels and order included,
+    # what the walk over every rooting keeps
+    assert list(enumerate_trees(12)) == list(reference_trees(12))
+
+
+@pytest.mark.parametrize("max_n, digest", [
+    (9, "2ed05064d35fb7ea92b2b147db0efe83f5924000f39ba25967cdfeb7353b833b"),
+    (12, "0e9772cb3dfe07c415c895d89e73f4cde025997a088ba99525163854d81e2ff5"),
+])
+def test_enumeration_digest(max_n, digest):
+    # the sweeps' enumeration order and labels, pinned as the walk over every
+    # rooting produced them
+    text = "".join(repr(t.adjacency) for t in enumerate_trees(max_n))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_leaf_rooted_key_is_the_canonical_form(n):
+    # every leaf rooting: the key is canonical_form of its tree when the
+    # height equals the diameter, and None when it falls short
+    for sub in _level_sequences(n - 1):
+        seq = [0] + [x + 1 for x in sub]
+        parent, key = _leaf_rooted_key(seq)
+        t = build_graph(n, [(parent[i], i) for i in range(1, n)])
+        if key is None:
+            assert metrics(t).ecc[0] < metrics(t).diameter
+        else:
+            assert metrics(t).ecc[0] == metrics(t).diameter
+            assert key == canonical_form(t)
