@@ -39,23 +39,42 @@ order.  The four solvers keep label order: their witnesses, which the CLI
 prints, are defined on the graph's own labels, and the orbit search below
 fixes vertex 0 first.
 
-On a vertex-transitive graph, Gamma_b and Gamma search one orbit: every
-optimum has an image under some automorphism with its largest strength s0 at
-vertex 0, so one search per s0, with vertex 0 fixed at s0 and every cap at
-most s0, finds the optimum.  The lexicographically largest optimum is such
-an image, so the round of its s0 meets it first and it is the last find.
-The solver proves transitivity itself, by finding automorphisms that move
-vertex 0 to every vertex, and checks each one.
+Gamma_b and Gamma use the automorphisms that `_automorphisms` finds and
+checks.  On a vertex-transitive graph they search one orbit: every optimum
+has an image under some automorphism with its largest strength s0 at vertex
+0, so one search per s0, with vertex 0 fixed at s0 and every cap at most s0,
+finds the optimum.  The lexicographically largest optimum is such an image,
+so the round of its s0 meets it first and it is the last find.  The solver
+proves transitivity itself, by finding automorphisms that move vertex 0 to
+every vertex.
+
+Both maximum searches also make the lex-leader cut (Crawford, Ginsberg, Luks
+and Roy, "Symmetry-breaking predicates for search problems", KR 1996): for
+an automorphism pi they skip a branch once its prefix shows f < f o pi,
+where (f o pi)[v] = f[pi[v]].  An image of a minimal dominating broadcast is
+one of the same cost, and automorphisms keep eccentricities, so f o pi lies
+in the searched space.  The witness w, the lexicographically largest
+optimum, satisfies w >= w o pi for every pi and is never cut; a vector that
+is cut has a larger image of the same cost, and following larger images
+through the finite orbit ends at one that no map cuts.  So values and
+witnesses stay, and only intermediate finds and node counts change.  On a
+vertex-transitive graph the maps are those that fix vertex 0, which keep
+each orbit round's vectors in the round; otherwise any found map serves.  At
+most _LEX_MAP_CAP maps are tracked, each from the depth where its first
+undecided comparison f[k] against f[pi[k]] can be read.  `beats_diameter`
+makes no such cut: on trees the automorphism search costs more than the
+nodes it saves.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Sequence
 
 from .broadcasts import (
     Broadcast,
@@ -187,8 +206,9 @@ def _search_context(g: Graph, top: int, order: tuple[int, ...] | None = None) ->
 
 def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
     """A context on `rows` whose positions are searched up to `caps`, each at
-    most the row's top.  Reads each vertex's distance row once: its layer
-    sizes give the cover ratio, and its ball at the cap the suffix cover."""
+    most the row's top.  Reads each vertex's balls from its row where an
+    earlier search built it, else its distance row, once: the ball sizes
+    give the cover ratio, and the ball at the cap the suffix cover."""
     m = metrics(g)
     n = g.n
     num, den = 0, 1  # largest |ball(v, s)| / s
@@ -197,17 +217,21 @@ def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
     suffix_top = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         v, cap = rows.order[i], caps[i]
-        row = m.dist[v]
-        layers = Counter(row)
+        balls = rows.built[i] and rows.built[i][0]
+        if not balls:
+            row = m.dist[v]
+            layers = Counter(row)
         size = 1
         for s in range(1, cap + 1):
             if n * den <= num * s:
                 break  # no ball of radius s or more holds over n vertices
-            size += layers[s]
+            size = balls[s].bit_count() if balls else size + layers[s]
             if size * den > num * s:
                 num, den = size, s
         if cap >= m.ecc[v]:
             ball = (1 << n) - 1
+        elif balls:
+            ball = balls[cap]
         else:
             ball = sum(1 << u for u, d in enumerate(row) if d <= cap)
         suffix_cover[i] = suffix_cover[i + 1] | ball
@@ -239,6 +263,7 @@ def _search_minimal_broadcasts(
     nodes: _Nodes,
     on_found: Callable[[int, tuple[int, ...]], None],
     s0: int = 0,
+    maps: Sequence[Sequence[int]] = (),
 ) -> None:
     """DFS over strength vectors, largest first in lexicographic order: each
     position of ctx tries its strengths from the top down, with 0 last.
@@ -250,6 +275,11 @@ def _search_minimal_broadcasts(
     the window and ends the search.  With s0 >= 1, position 0 is fixed at
     strength s0 (at most its cap) and the search starts from the state
     after it.  A budget error also reports the size of the space.
+
+    Each of `maps` is an automorphism read as a map pi on search positions
+    that keeps every cap (caps[pi[i]] == caps[i]); the search skips every
+    vector f that is lexicographically smaller than f o pi, that is f[pi[i]]
+    at position i (the lex-leader cut).
     """
     n = ctx.n
     strengths = [0] * n
@@ -264,7 +294,7 @@ def _search_minimal_broadcasts(
     count = nodes.count
     node_cap = nodes.cap
 
-    def rec(i: int, total: int, unheard: int, exactly_one: int):
+    def rec(i: int, total: int, unheard: int, exactly_one: int, watch: tuple):
         nonlocal count
         count += 1
         if count > node_cap:
@@ -295,7 +325,22 @@ def _search_minimal_broadcasts(
         top = hi - total
         if top > caps[i]:
             top = caps[i]
-        for s in range(top, 0, -1):
+        low = 0
+        deciding = None
+        if watch[0][0] == i:
+            # the maps whose next comparison reads position i bound its
+            # strength: f[i] >= f[pi[i]] for k = i, f[i] <= f[k] for pi[k] = i
+            split = 1
+            while watch[split][0] == i:
+                split += 1
+            deciding, watch = watch[:split], watch[split:]
+            for _, k, pi in deciding:
+                if k == i:
+                    if strengths[pi[i]] > low:
+                        low = strengths[pi[i]]
+                elif strengths[k] < top:
+                    top = strengths[k]
+        for s in range(top, low - 1 if low else 0, -1):
             if s < first:  # every smaller strength fails too; first rises with lo
                 break
             mine = cands[s]
@@ -324,18 +369,22 @@ def _search_minimal_broadcasts(
                 if not ok:
                     continue
             strengths[i] = s
-            support.append(mine)
-            rec(i + 1, total + s, new_unheard, new_exactly_one)
-            support.pop()
+            after = watch if deciding is None else _lex_advance(deciding, watch, i, strengths)
+            if after is not None:
+                support.append(mine)
+                rec(i + 1, total + s, new_unheard, new_exactly_one, after)
+                support.pop()
             strengths[i] = 0
             lo = window[0]
             if hi < lo:
                 return
             first = lo - rest - total
-        if first <= 0 and unheard & outside == 0:
+        if low == 0 and first <= 0 and unheard & outside == 0:
             need = lo - total
             if need <= 0 or unheard.bit_count() * most >= need:
-                rec(i + 1, total, unheard, exactly_one)
+                after = watch if deciding is None else _lex_advance(deciding, watch, i, strengths)
+                if after is not None:
+                    rec(i + 1, total, unheard, exactly_one, after)
 
     start, unheard, exactly_one = 0, (1 << n) - 1, 0
     if s0:
@@ -343,10 +392,44 @@ def _search_minimal_broadcasts(
         start, unheard, exactly_one = 1, unheard ^ balls[s0], balls[s0]
         strengths[0] = s0
         support.append(cands[s0])
+    # entries (r, k, pi), sorted on r: pi's next comparison f[k] against
+    # f[pi[k]], decided once position r = max(k, pi[k]) is set; the last
+    # entry never comes due
+    watch = _lex_advance([(0, 0, pi) for pi in maps], ((n,),), start - 1, strengths)
+    if watch is None:
+        return
     try:
-        rec(start, s0, unheard, exactly_one)
+        rec(start, s0, unheard, exactly_one, watch)
     finally:
         nodes.count = count
+
+
+_DUE = operator.itemgetter(0)  # a watch entry's position r
+
+
+def _lex_advance(entries, watch: tuple, i: int, f: list[int]) -> tuple | None:
+    """`watch` with `entries` put back once positions 0..i of f are set.
+
+    Each entry moves its comparison k on past every pair f[k] == f[pi[k]]
+    that positions 0..i decide.  It leaves the watch once f[k] > f[pi[k]],
+    since then f beats its image whatever follows, or once k runs past the
+    last position; the result is None once f[k] < f[pi[k]], since then the
+    image beats f and f is cut."""
+    out = list(watch)
+    for _, k, pi in entries:
+        n = len(pi)
+        while k < n:
+            j = pi[k]
+            if j > i or k > i:
+                if j != k:
+                    bisect.insort(out, (max(j, k), k, pi), key=_DUE)
+                    break
+            elif f[k] != f[j]:
+                if f[k] < f[j]:
+                    return None
+                break
+            k += 1
+    return tuple(out)
 
 
 def enumerate_minimal_broadcasts(
@@ -368,86 +451,142 @@ def enumerate_minimal_broadcasts(
     return found[::-1]  # the search meets them largest first
 
 
-# Distance comparisons the automorphism search may make on one graph before
-# it gives up and the plain search runs.
+# Distance and adjacency tests the automorphism search may make on one graph
+# before it stops and returns the maps it has found.
 _AUTOMORPHISM_CHECK_CAP = 1_000_000
+# The most automorphisms a maximum search tests its vectors against.
+_LEX_MAP_CAP = 8
 
 
-def _vertex_transitive(g: Graph) -> bool:
-    """Whether automorphisms found and checked here move vertex 0 to every
-    vertex.  False when g is not regular, when its vertices differ in
-    distance profile, when no automorphism sends 0 to some vertex, or when
-    the search for one exceeds _AUTOMORPHISM_CHECK_CAP."""
+def _orbit(v: int, maps) -> set[int]:
+    """The orbit of v under the group that `maps` generate."""
+    orbit, frontier = {v}, [v]
+    while frontier:
+        x = frontier.pop()
+        for m in maps:
+            if m[x] not in orbit:
+                orbit.add(m[x])
+                frontier.append(m[x])
+    return orbit
+
+
+def _automorphisms(g: Graph) -> list[list[int]]:
+    """Automorphisms of g, found and checked here, level by level: the maps
+    of level k fix the vertices 0..k-1 and send k to each vertex that the
+    level's maps so far do not already reach from k.
+
+    Level 0 is searched in full, so g is vertex-transitive exactly when the
+    orbit of 0 under the result is every vertex (`_orbit`); the deeper
+    levels, whose maps fix vertex 0, stop once they hold _LEX_MAP_CAP maps.
+    The search also stops, with the maps it has, once it has made
+    _AUTOMORPHISM_CHECK_CAP distance and adjacency tests.
+    """
     n = g.n
     adjacency = g.adjacency
-    if len({len(a) for a in adjacency}) != 1:
-        return False
-    dist = metrics(g).dist
-    profile = sorted(dist[0])
-    if any(sorted(row) != profile for row in dist):
-        return False
-    # vertices in BFS order from 0, each after a neighbor one step nearer 0
-    order = sorted(range(n), key=dist[0].__getitem__)
-    parent = [next((w for w in adjacency[u] if dist[0][w] < dist[0][u]), 0) for u in range(n)]
-    checks = _AUTOMORPHISM_CHECK_CAP
+    m = metrics(g)
+    dist = m.dist
+    degree = [len(a) for a in adjacency]
+    layers: dict[int, list[int]] = {}  # vertices by distance from 0
+    for v, d in enumerate(dist[0]):
+        layers.setdefault(d, []).append(v)
+    edges = g.edges()
+    neighbors = [set(a) for a in adjacency]
+    checks = _AUTOMORPHISM_CHECK_CAP  # distance and adjacency tests left
 
-    def map_zero_to(v: int) -> list[int] | None:
-        """A distance-preserving bijection that sends 0 to v, by backtracking
-        over the neighbors of each vertex's parent's image; None when there
-        is none or the check cap runs out."""
+    def extend(k: int, w: int, rest, parent) -> list[int] | None:
+        """A bijection that fixes 0..k-1 and sends k to w and preserves
+        adjacency, by backtracking over the vertices of `rest` in order: each
+        goes to a neighbor of its parent's image that keeps its degree, its
+        distances to 0..k and its adjacency to the vertices placed before
+        it.  None when there is none."""
         nonlocal checks
-        image = [0] * n
+        image = [-1] * n
         used = [False] * n
-        image[0], used[v] = v, True
-        pending: list = [None] * n  # the candidates left at each depth
-        depth = 1
-        while depth < n:
-            u = order[depth]
+        image[: k + 1] = targets = list(range(k)) + [w]
+        for y in targets:
+            used[y] = True
+        pending: list = [None] * len(rest)  # the candidates left at each depth
+        depth = 0
+        while depth < len(rest):
+            u = rest[depth]
             if pending[depth] is None:
                 pending[depth] = iter(adjacency[image[parent[u]]])
-            du, placed = dist[u], order[:depth]
-            for w in pending[depth]:
-                if used[w]:
+            want = dist[u][: k + 1]
+            placed = [image[x] for x in adjacency[u] if image[x] >= 0]
+            for y in pending[depth]:
+                if used[y] or degree[y] != degree[u]:
                     continue
-                checks -= depth
+                checks -= k + 1 + degree[u]
                 if checks < 0:
                     return None
-                dw = dist[w]
-                if all(dw[image[x]] == du[x] for x in placed):
-                    image[u], used[w] = w, True
+                near = neighbors[y]
+                if (
+                    tuple(map(dist[y].__getitem__, targets)) == want
+                    and all(x in near for x in placed)
+                    and sum(used[z] for z in near) == len(placed)
+                ):
+                    image[u], used[y] = y, True
                     depth += 1
                     break
             else:
                 pending[depth] = None
                 depth -= 1
-                if depth == 0:
+                if depth < 0:
                     return None
-                used[image[order[depth]]] = False
+                u = rest[depth]
+                used[image[u]] = False
+                image[u] = -1
         return image
 
-    edges = g.edges()
-    neighbors = [set(a) for a in adjacency]
     maps: list[list[int]] = []
-    orbit = {0}
-    for v in range(1, n):
-        if v in orbit:
+    deeper = 0  # maps of the levels past 0
+    for k in range(n):
+        if k == 0:
+            profile = sorted(dist[0])
+            candidates = [
+                w for w in range(1, n)
+                if degree[w] == degree[0] and m.ecc[w] == m.ecc[0] and sorted(dist[w]) == profile
+            ]
+        else:
+            # an image of k keeps k's distances to the fixed vertices 0..k-1
+            head = dist[k][:k]
+            candidates = [
+                w for w in layers[dist[0][k]] if w > k and degree[w] == degree[k]
+                and dist[w][:k] == head
+            ]
+        if not candidates:
             continue
-        sigma = map_zero_to(v)
-        if sigma is None:
-            return False
-        # the search preserves distances by construction; check the result
-        # independently: a bijection that sends edges to edges
-        if len(set(sigma)) != n or any(sigma[b] not in neighbors[sigma[a]] for a, b in edges):
-            return False
-        maps.append(sigma)
-        frontier = list(orbit)
-        while frontier:
-            x = frontier.pop()
-            for m in maps:
-                if m[x] not in orbit:
-                    orbit.add(m[x])
-                    frontier.append(m[x])
-    return len(orbit) == n
+        # the other vertices in breadth-first order from 0..k, each after a
+        # neighbor placed before it
+        parent = list(range(k + 1)) + [-1] * (n - k - 1)
+        order = list(range(k + 1))
+        for x in order:
+            for y in adjacency[x]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    order.append(y)
+        level: list[list[int]] = []
+        reached = {k}
+        for w in candidates:
+            if w in reached:
+                continue
+            sigma = extend(k, w, order[k + 1 :], parent)
+            if checks < 0:
+                return maps
+            if sigma is None:
+                continue
+            # the search preserves adjacency by construction; check the
+            # result independently: a bijection that sends edges to edges
+            if len(set(sigma)) != n or any(sigma[b] not in neighbors[sigma[a]] for a, b in edges):
+                continue
+            level.append(sigma)
+            maps.append(sigma)
+            reached = _orbit(k, level)
+            if k:
+                deeper += 1
+                if deeper == _LEX_MAP_CAP:
+                    return maps
+    return maps
 
 
 def _solve(
@@ -473,19 +612,27 @@ def _solve(
         # a vertex of the largest cap at full strength dominates minimally
         # (a peripheral vertex attains the diameter); a lone vertex has no
         # edge but forms the set {v}
-        window = [max(ctx.caps), max(ctx.edge_count, 1)]
+        top_cap = max(ctx.caps)
+        window = [top_cap, max(ctx.edge_count, 1)]
         rounds = [(ctx, 0)]
-        if _vertex_transitive(g):
+        # positions are labels here, so each automorphism is its own map on
+        # positions, and it keeps the caps, which follow the eccentricities
+        maps = _automorphisms(g)
+        if len(_orbit(0, maps)) == g.n:
             # one round per s0 from the top cap down, each on the same rows
             # with caps min(cap, s0) and the window the rounds before left;
-            # a set search has one round, over the sets that hold vertex 0
-            caps = ctx.caps
+            # a set search has one round, over the sets that hold vertex 0.
+            # Only the maps that fix vertex 0 keep a round's vectors in it
+            maps = [m for m in maps if m[0] == 0]
+            # the top round's caps are the context's own
             rounds = (
-                (_with_caps(g, ctx.rows, tuple(min(c, s0) for c in caps)), s0)
-                for s0 in range(max(caps), 0, -1)
+                (_with_caps(g, ctx.rows, tuple(min(c, s0) for c in ctx.caps)), s0)
+                if s0 < top_cap else (ctx, s0)
+                for s0 in range(top_cap, 0, -1)
             )
+        maps = maps[:_LEX_MAP_CAP]
         for round_ctx, s0 in rounds:
-            _search_minimal_broadcasts(round_ctx, window, nodes, on_found, s0)
+            _search_minimal_broadcasts(round_ctx, window, nodes, on_found, s0, maps)
     else:
         # deepen hi until a round finds something, with one node budget for
         # all rounds; each round found nothing below hi, so its first find

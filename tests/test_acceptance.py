@@ -92,8 +92,10 @@ def _rows(m, n, rows):
 
 
 # (m, n): (exact Gamma, value of upper_gamma_torus, a hand-checkable witness
-# of the exact value or None), for every torus with mn <= 35.  The formula
-# holds at 3x3, 3x6, 4x4, 4x6, 4x8 and 5x6 only.
+# of the exact value or None), for every torus with mn <= 35 and for 5x8 and
+# 6x6, where Gamma = |V|/2.  The formula holds at 3x3, 3x6, 4x4, 4x6, 4x8,
+# 5x6 and 6x6 only.  On 6x6 the even colour class of the bipartite torus is
+# minimal dominating: each member is its own private neighbour.
 TORUS_UPPER_DOMINATION = {
     (3, 3): (3, 3, None),
     (3, 4): (6, 4, _columns(3, 4, (0, 1))),
@@ -112,6 +114,8 @@ TORUS_UPPER_DOMINATION = {
     (5, 5): (10, 9, _rows(5, 5, (0, 2))),
     (5, 6): (12, 12, _rows(5, 6, (0, 2))),
     (5, 7): (15, 13, None),
+    (5, 8): (20, 16, _columns(5, 8, (0, 1, 4, 5))),
+    (6, 6): (18, 18, tuple(v for v in range(36) if (v // 6 + v % 6) % 2 == 0)),
 }
 # Tori small enough for the conftest oracle, which applies the predicate
 # layer to every vertex subset without the solver's pruned search.
@@ -190,11 +194,12 @@ def test_criterion_2_torus_upper_domination():
     # each (i,0) keeps private neighbour (i,3) and each (i,1) keeps (i,2).
     # With the checks above, the formula agrees at the other points.  5x7
     # refutes the odd-odd case; 3x8 and 4x7 fall in the family where 4
-    # divides a side.
+    # divides a side, and so does 5x8.
     refuted = [r for r in rows if r[2] > r[3]]
     expected_refuted = [
         (3, 4, 6, 4), (3, 5, 6, 5), (3, 7, 9, 7), (3, 8, 12, 8), (3, 9, 12, 9), (3, 10, 12, 10),
         (3, 11, 15, 11), (4, 5, 10, 8), (4, 7, 14, 12), (5, 5, 10, 9), (5, 7, 15, 13),
+        (5, 8, 20, 16),
     ]
     ok = not failures and refuted == expected_refuted and elapsed < 300
     matched = sum(r[2] == r[3] for r in rows)

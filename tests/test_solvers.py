@@ -291,11 +291,12 @@ def test_gamma_b_of_a_long_path_within_a_small_budget():
 
 
 def test_torus_maxima_within_small_budgets():
-    # the unheard-count cut: without it Gamma_b(C6xC6) takes 3.70M nodes
-    # and Gamma(C6xC6) 0.94M
+    # the unheard-count and lex-leader cuts: without the first Gamma_b(C6xC6)
+    # takes 3.70M nodes and Gamma(C6xC6) 0.94M, without the second 472k and
+    # 223k; with both 181k and 114k
     g = gen_torus(6, 6)
-    assert solve_upper_gamma_b(g, SolverBudget(1_000_000)).value == 24
-    assert solve_upper_gamma(g, SolverBudget(400_000)).value == 18
+    assert solve_upper_gamma_b(g, SolverBudget(250_000)).value == 24
+    assert solve_upper_gamma(g, SolverBudget(150_000)).value == 18
 
 
 def test_node_budget_reports_estimate():
@@ -378,11 +379,16 @@ ORBIT_CUT_GRAPHS = (
 
 
 def plain_search(g, monkeypatch, solver=solve_upper_gamma_b):
-    """`solver`'s report from the search over every vector, the orbit cut
-    turned off."""
+    """`solver`'s report from the search over every vector: with no
+    automorphism found, neither the orbit cut nor the lex-leader cut fires."""
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_vertex_transitive", lambda _g: False)
+        patch.setattr(solvers, "_automorphisms", lambda _g: [])
         return solver(g)
+
+
+def transitive(g):
+    """Whether the automorphisms the solver finds move vertex 0 everywhere."""
+    return len(solvers._orbit(0, solvers._automorphisms(g))) == g.n
 
 
 @pytest.mark.parametrize("g", ORBIT_CUT_GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count()}")
@@ -399,7 +405,7 @@ def test_orbit_cut_equals_plain_search(g, monkeypatch):
     ids=lambda g: f"n{g.n}m{g.edge_count()}",
 )
 def test_orbit_cut_equals_brute_force(g):
-    assert solvers._vertex_transitive(g)
+    assert transitive(g)
     # Gamma_b through the orbit rounds and gamma_b through the deepening ones
     assert_broadcast_solvers_match_brute(g, brute_minimal_broadcasts(g))
     # Gamma through the orbit cut and gamma through the deepening rounds; a
@@ -410,7 +416,7 @@ def test_orbit_cut_equals_brute_force(g):
 
 @pytest.mark.parametrize("g", [relabelled(gen_cycle(20), 1), relabelled(gen_torus(4, 5), 1)])
 def test_orbit_cut_fires_on_relabelled_inputs(g, monkeypatch):
-    assert solvers._vertex_transitive(g)
+    assert transitive(g)
     cut, plain = solve_upper_gamma_b(g), plain_search(g, monkeypatch)
     assert cut.value == plain.value
     assert cut.nodes * 5 < plain.nodes
@@ -423,8 +429,11 @@ def test_orbit_cut_fires_on_relabelled_inputs(g, monkeypatch):
     ids=lambda g: f"n{g.n}m{g.edge_count()}",
 )
 def test_orbit_cut_does_not_fire(g, monkeypatch):
-    assert not solvers._vertex_transitive(g)
-    assert solve_upper_gamma_b(g) == plain_search(g, monkeypatch)
+    assert not transitive(g)
+    # the lex-leader cut still fires where g has automorphisms, so only the
+    # node counts may differ
+    cut, plain = solve_upper_gamma_b(g), plain_search(g, monkeypatch)
+    assert (cut.value, cut.witness_broadcast) == (plain.value, plain.witness_broadcast)
 
 
 def test_transitivity_verdict_matches_networkx():
@@ -444,7 +453,7 @@ def test_transitivity_verdict_matches_networkx():
         g = relabelled(build_graph(h.number_of_nodes(), h.edges()), rng.randrange(10**6))
         orbit = {m[0] for m in GraphMatcher(h, h).isomorphisms_iter()}
         verdicts.append(len(orbit) == g.n)
-        assert solvers._vertex_transitive(g) == verdicts[-1], sorted(g.edges())
+        assert transitive(g) == verdicts[-1], sorted(g.edges())
     assert True in verdicts and False in verdicts
 
 
@@ -452,8 +461,77 @@ def test_automorphism_search_past_its_cap_runs_the_plain_search(monkeypatch):
     g = relabelled(gen_cycle(9), 3)
     plain = plain_search(g, monkeypatch)
     monkeypatch.setattr(solvers, "_AUTOMORPHISM_CHECK_CAP", 3)
-    assert not solvers._vertex_transitive(g)
+    assert solvers._automorphisms(g) == []
     assert solve_upper_gamma_b(g) == plain
+
+
+def complete_bipartite(a, b):
+    return build_graph(a + b, [(x, a + y) for x in range(a) for y in range(b)])
+
+
+GRIDS = [gen_grid(m, n) for m in (2, 3, 4) for n in range(m, 6)]
+# graphs with nontrivial groups, all but the 2x2 grid (C4) not
+# vertex-transitive; the larger stars and K_{a,b} fill _LEX_MAP_CAP
+LEX_CUT_GRAPHS = (
+    GRIDS + [relabelled(g, 5) for g in GRIDS]
+    + [gen_star(k) for k in (3, 6, 9)] + [relabelled(gen_star(9), 2)]
+    + [complete_bipartite(a, b) for a, b in [(1, 4), (2, 3), (2, 5), (3, 5), (4, 5)]]
+    + [relabelled(complete_bipartite(3, 5), 6), gen_path(9), relabelled(gen_path(9), 1)]
+)
+
+
+@pytest.mark.parametrize("g", LEX_CUT_GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_lex_leader_cut_equals_plain_search(g, monkeypatch):
+    assert solvers._automorphisms(g)
+    cut, plain = solve_upper_gamma_b(g), plain_search(g, monkeypatch)
+    assert (cut.value, cut.witness_broadcast) == (plain.value, plain.witness_broadcast)
+    cut, plain = solve_upper_gamma(g), plain_search(g, monkeypatch, solve_upper_gamma)
+    assert (cut.value, cut.witness_set) == (plain.value, plain.witness_set)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_grid(2, 3), relabelled(gen_grid(2, 3), 3), gen_cycle(4), complete_bipartite(2, 3),
+     relabelled(complete_bipartite(2, 3), 1), gen_star(4), gen_path(6)],
+    ids=lambda g: f"n{g.n}m{g.edge_count()}",
+)
+def test_lex_leader_cut_equals_brute_force(g):
+    assert solvers._automorphisms(g)
+    assert_broadcast_solvers_match_brute(g, brute_minimal_broadcasts(g))
+    assert_set_solvers_match_brute(g)
+
+
+def test_lex_leader_cut_halves_grid_nodes(monkeypatch):
+    g = gen_grid(4, 4)
+    assert solve_upper_gamma_b(g).nodes * 2 < plain_search(g, monkeypatch).nodes
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_torus(4, 5), relabelled(gen_torus(5, 5), 2), gen_grid(3, 4), relabelled(gen_grid(4, 4), 7),
+     PETERSEN, FRUCHT, gen_star(9), complete_bipartite(4, 5),
+     cartesian_product(gen_cycle(4), gen_path(2))],
+    ids=lambda g: f"n{g.n}m{g.edge_count()}",
+)
+def test_automorphisms_are_checked_maps_by_level(g):
+    maps = solvers._automorphisms(g)
+    edges = set(g.edges())
+    level = 0
+    for sigma in maps:
+        assert sorted(sigma) == list(range(g.n))
+        assert all(tuple(sorted((sigma[a], sigma[b]))) in edges for a, b in edges)
+        # level k fixes 0..k-1 and moves k; the levels come in order
+        k = next(v for v in range(g.n) if sigma[v] != v)
+        assert k >= level
+        level = k
+    # past level 0 the search stops at the map cap
+    assert sum(sigma[0] == 0 for sigma in maps) <= solvers._LEX_MAP_CAP
+
+
+@pytest.mark.parametrize("g", [gen_star(9), complete_bipartite(4, 5), relabelled(gen_star(9), 2)],
+                         ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_large_groups_fill_the_map_cap(g):
+    assert sum(sigma[0] == 0 for sigma in solvers._automorphisms(g)) == solvers._LEX_MAP_CAP
 
 
 def test_rows_are_built_where_the_search_goes():
@@ -470,15 +548,16 @@ def test_rows_are_built_where_the_search_goes():
 WITNESS_CHECK_UNDER_O = """
 import sys
 from bdom import solvers
-from bdom.graphs import gen_cycle, gen_path
+from bdom.graphs import gen_cycle, gen_grid, gen_path
 
-def bad_search(ctx, window, nodes, on_found, s0=0):
-    # (1, 1, 1, 0, ...) dominates P4 and C5, as a broadcast and as the set of
-    # vertices 0, 1 and 2, but vertex 1 keeps no private neighbour
-    on_found(3, (1, 1, 1) + (0,) * (ctx.n - 3))
+def bad_search(ctx, window, nodes, on_found, s0=0, maps=()):
+    # (1, 1, 1, 1, 0, ...) dominates P4, C5 and P2xP3, as a broadcast and as
+    # the set of vertices 0-3, but vertex 0 or 1 keeps no private neighbour
+    print("maps", len(maps))
+    on_found(4, (1, 1, 1, 1) + (0,) * (ctx.n - 4))
 
 g = {graph}
-print("transitive", solvers._vertex_transitive(g))
+print("transitive", len(solvers._orbit(0, solvers._automorphisms(g))) == g.n)
 solvers._search_minimal_broadcasts = bad_search
 try:
     solvers.{solver}(g)
@@ -498,6 +577,9 @@ except AssertionError as exc:
     ]
     # vertex-transitive: the orbit rounds, whose last find is the witness
     + [pytest.param(solver, "gen_cycle(5)", id=f"{solver}-C5")
+       for solver in ("solve_upper_gamma_b", "solve_upper_gamma")]
+    # not vertex-transitive, with maps for the lex-leader cut
+    + [pytest.param(solver, "gen_grid(2, 3)", id=f"{solver}-P2xP3")
        for solver in ("solve_upper_gamma_b", "solve_upper_gamma")],
 )
 def test_witness_check_survives_optimize_flag(solver, graph):
@@ -509,6 +591,8 @@ def test_witness_check_survives_optimize_flag(solver, graph):
     )
     assert proc.returncode == 0, proc.stderr
     assert f"transitive {graph.startswith('gen_cycle')}" in proc.stdout
+    if graph == "gen_grid(2, 3)":
+        assert "maps 2" in proc.stdout  # two reflections generate the grid's group
     assert "optimize 1 rejected:" in proc.stdout
     assert "witness rejected by the predicate layer" in proc.stdout
 
