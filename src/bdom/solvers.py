@@ -20,8 +20,9 @@ caller may narrow as results come in, and it cuts a subtree when
   one still in U' and no other's (Dunbar et al., "Broadcasts in graphs",
   2006), and the later positions add at most |U'| times their largest cap;
 * hearing the unheard set U cannot fit under hi: with rho = max |ball(v, s)|
-  / s over all vertices v and searched strengths s >= 1, a broadcaster of
-  strength s hears at most rho * s vertices, so U costs at least |U| / rho.
+  / s over all vertices v and strengths s from 1 to v's cap, which the orbit
+  rounds below only lower, a broadcaster of strength s hears at most rho * s
+  vertices, so U costs at least |U| / rho.
 
 No minimal dominating broadcast costs more than the edge count, which caps
 hi.  Every search tries each vertex's strengths from the top down, with 0
@@ -57,10 +58,11 @@ in the searched space.  The witness w, the lexicographically largest
 optimum, satisfies w >= w o pi for every pi and is never cut; a vector that
 is cut has a larger image of the same cost, and following larger images
 through the finite orbit ends at one that no map cuts.  So values and
-witnesses stay, and only intermediate finds and node counts change.  On a
-vertex-transitive graph the maps are those that fix vertex 0, which keep
-each orbit round's vectors in the round; otherwise any found map serves.  At
-most _LEX_MAP_CAP maps are tracked, each from the depth where its first
+witnesses stay, and only intermediate finds and node counts change.  No map
+need fix vertex 0, so every orbit round gets the same maps: in round s0 a
+map that moves vertex 0 first compares f[0] = s0 with f[pi[0]] <= s0, and
+leaves the watch at once unless the image too starts with s0.  At most
+_LEX_MAP_CAP maps are tracked, each from the depth where its first
 undecided comparison f[k] against f[pi[k]] can be read.  `beats_diameter`
 makes no such cut: on trees the automorphism search costs more than the
 nodes it saves.
@@ -71,6 +73,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -156,10 +159,12 @@ class _Rows:
         dist: tuple[tuple[int, ...], ...],
         tops: tuple[int, ...],
         order: tuple[int, ...],
+        cover_ratio: tuple[int, int],
     ):
         self.dist = dist
         self.tops = tops
         self.order = order
+        self.cover_ratio = cover_ratio  # (num, den): max |ball(v, s)| / s, 1 <= s <= top of v
         self.built: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * len(tops)
 
     def build(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -188,7 +193,6 @@ class _SearchContext:
     suffix_cover: tuple[int, ...]  # union of the balls at positions >= i at their caps
     suffix_strength: tuple[int, ...]  # sum of the caps at positions >= i
     suffix_top: tuple[int, ...]  # largest cap at positions >= i: what each later broadcaster adds
-    cover_ratio: tuple[int, int]  # (num, den): max |ball(v, s)| / s over 1 <= s <= cap of v
 
 
 def _search_context(g: Graph, top: int, order: tuple[int, ...] | None = None) -> _SearchContext:
@@ -199,41 +203,36 @@ def _search_context(g: Graph, top: int, order: tuple[int, ...] | None = None) ->
     eccentricity 0, still forms the set {v}, so its cap is 1.
     """
     m = metrics(g)
-    order = tuple(range(g.n)) if order is None else order
+    n = g.n
+    order = tuple(range(n)) if order is None else order
     caps = tuple(min(max(m.ecc[v], 1), top) for v in order)
-    return _with_caps(g, _Rows(m.dist, caps, order), caps)
+    num, den = 0, 1  # largest |ball(v, s)| / s
+    for v, cap in zip(order, caps):
+        layers = Counter(m.dist[v])
+        size = 1
+        for s in range(1, cap + 1):
+            if n * den <= num * s:
+                break  # no ball of radius s or more holds over n vertices
+            size += layers[s]
+            if size * den > num * s:
+                num, den = size, s
+    return _with_caps(g, _Rows(m.dist, caps, order, (num, den)), caps)
 
 
 def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
     """A context on `rows` whose positions are searched up to `caps`, each at
-    most the row's top.  Reads each vertex's balls from its row where an
-    earlier search built it, else its distance row, once: the ball sizes
-    give the cover ratio, and the ball at the cap the suffix cover."""
+    most the row's top, so that the rows' cover ratio still bounds it."""
     m = metrics(g)
     n = g.n
-    num, den = 0, 1  # largest |ball(v, s)| / s
     suffix_cover = [0] * (n + 1)
     suffix_strength = [0] * (n + 1)
     suffix_top = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         v, cap = rows.order[i], caps[i]
-        balls = rows.built[i] and rows.built[i][0]
-        if not balls:
-            row = m.dist[v]
-            layers = Counter(row)
-        size = 1
-        for s in range(1, cap + 1):
-            if n * den <= num * s:
-                break  # no ball of radius s or more holds over n vertices
-            size = balls[s].bit_count() if balls else size + layers[s]
-            if size * den > num * s:
-                num, den = size, s
         if cap >= m.ecc[v]:
             ball = (1 << n) - 1
-        elif balls:
-            ball = balls[cap]
         else:
-            ball = sum(1 << u for u, d in enumerate(row) if d <= cap)
+            ball = sum(1 << u for u, d in enumerate(m.dist[v]) if d <= cap)
         suffix_cover[i] = suffix_cover[i + 1] | ball
         suffix_strength[i] = suffix_strength[i + 1] + cap
         suffix_top[i] = max(suffix_top[i + 1], cap)
@@ -245,7 +244,6 @@ def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
         tuple(suffix_cover),
         tuple(suffix_strength),
         tuple(suffix_top),
-        (num, den),
     )
 
 
@@ -290,7 +288,7 @@ def _search_minimal_broadcasts(
     suffix_cover = ctx.suffix_cover
     suffix_strength = ctx.suffix_strength
     suffix_top = ctx.suffix_top
-    cover_num, cover_den = ctx.cover_ratio
+    cover_num, cover_den = ctx.rows.cover_ratio
     count = nodes.count
     node_cap = nodes.cap
 
@@ -400,6 +398,10 @@ def _search_minimal_broadcasts(
         return
     try:
         rec(start, s0, unheard, exactly_one, watch)
+    except RecursionError:  # one frame per position
+        raise CapabilityError(
+            f"search of depth {n} exceeds Python's recursion limit ({sys.getrecursionlimit()})"
+        ) from None
     finally:
         nodes.count = count
 
@@ -621,13 +623,9 @@ def _solve(
         if len(_orbit(0, maps)) == g.n:
             # one round per s0 from the top cap down, each on the same rows
             # with caps min(cap, s0) and the window the rounds before left;
-            # a set search has one round, over the sets that hold vertex 0.
-            # Only the maps that fix vertex 0 keep a round's vectors in it
-            maps = [m for m in maps if m[0] == 0]
-            # the top round's caps are the context's own
+            # a set search has one round, over the sets that hold vertex 0
             rounds = (
                 (_with_caps(g, ctx.rows, tuple(min(c, s0) for c in ctx.caps)), s0)
-                if s0 < top_cap else (ctx, s0)
                 for s0 in range(top_cap, 0, -1)
             )
         maps = maps[:_LEX_MAP_CAP]

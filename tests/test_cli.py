@@ -256,6 +256,18 @@ def test_budget_ends_a_large_oracle_search(tmp_path, capsys):
     assert code == EXIT_BUDGET and "node budget" in err and out == ""
 
 
+def test_search_deeper_than_the_recursion_limit_is_refused():
+    # the maximum search recurses once per vertex, and a star of 1000 leaves
+    # has 1001; a fresh interpreter keeps Python's default limit of 1000
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bdom", "invariant", "--family", "star:1000", "--which", "Gamma_b"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+    assert "recursion limit" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_verify_parallel_matches_serial(capsys):
     argv = ["verify", "--family", "cycle", "--which", "Gamma_b", "--n", "3:8"]
     _, serial, _ = run(capsys, *argv)

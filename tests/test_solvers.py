@@ -293,10 +293,11 @@ def test_gamma_b_of_a_long_path_within_a_small_budget():
 def test_torus_maxima_within_small_budgets():
     # the unheard-count and lex-leader cuts: without the first Gamma_b(C6xC6)
     # takes 3.70M nodes and Gamma(C6xC6) 0.94M, without the second 472k and
-    # 223k; with both 181k and 114k
+    # 223k; with both 132k and 59k (181k and 114k while the orbit rounds
+    # tested only the maps that fix vertex 0)
     g = gen_torus(6, 6)
-    assert solve_upper_gamma_b(g, SolverBudget(250_000)).value == 24
-    assert solve_upper_gamma(g, SolverBudget(150_000)).value == 18
+    assert solve_upper_gamma_b(g, SolverBudget(150_000)).value == 24
+    assert solve_upper_gamma(g, SolverBudget(80_000)).value == 18
 
 
 def test_node_budget_reports_estimate():
@@ -420,6 +421,27 @@ def test_orbit_cut_fires_on_relabelled_inputs(g, monkeypatch):
     cut, plain = solve_upper_gamma_b(g), plain_search(g, monkeypatch)
     assert cut.value == plain.value
     assert cut.nodes * 5 < plain.nodes
+
+
+@pytest.mark.parametrize("g", [gen_torus(4, 5), relabelled(gen_torus(5, 5), 2)],
+                         ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_every_orbit_round_gets_maps_that_move_vertex_0(g, monkeypatch):
+    assert transitive(g)
+    rounds = []
+    search = solvers._search_minimal_broadcasts
+
+    def recording(ctx, window, nodes, on_found, s0=0, maps=()):
+        rounds.append((s0, maps))
+        return search(ctx, window, nodes, on_found, s0, maps)
+
+    monkeypatch.setattr(solvers, "_search_minimal_broadcasts", recording)
+    for solver, top_cap in ((solve_upper_gamma_b, metrics(g).diameter), (solve_upper_gamma, 1)):
+        rounds.clear()
+        solver(g)
+        # every round from the top cap down, all with one map list
+        assert [s0 for s0, _ in rounds] == list(range(top_cap, 0, -1))
+        assert all(maps == rounds[0][1] for _, maps in rounds)
+        assert any(m[0] != 0 for m in rounds[0][1])
 
 
 @pytest.mark.parametrize(
