@@ -56,7 +56,6 @@ from .solvers import (
     InvariantReport,
     SolverBudget,
     beats_diameter,
-    enumerate_minimal_broadcasts,
     solve_gamma,
     solve_gamma_b,
     solve_upper_gamma,

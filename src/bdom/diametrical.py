@@ -22,7 +22,9 @@ such a vertex.  A swap turns the old end into a limb of the same kind at the
 same position, so the other path has the same limbs at the same positions,
 read in the same or the reverse order; both gap tables are symmetric under
 reversal, so it passes too.  Hence a tree that fails on one longest path
-fails on all.
+fails on all.  It reads that path off the double sweep of `trees` in three
+BFS, the path starting at a sweep end (see `_longest_path`); `decompose`
+checks a caller's path against the diameter from the sweep's first two.
 
 The exact oracle `is_diametrical_exact` refutes the rule in both directions,
 with broadcasts the predicate layer accepts, so the rule is neither
@@ -52,9 +54,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph, LobsterSpec, bfs_distances, build_graph, gen_lobster
+from .graphs import Graph, LobsterSpec, build_graph, gen_lobster
 from .solvers import DEFAULT_BUDGET, SolverBudget, beats_diameter
-from .trees import canonical_form, eccentricities, is_tree
+from .trees import _distances_from_end, _double_sweep, canonical_form
 
 PAIR_MIN_GAP = {
     ("A", "A"): 4,
@@ -145,29 +147,39 @@ class Verdict:
         }
 
 
-def longest_path(t: Graph) -> tuple[int, ...]:
+def _longest_path(t: Graph, from_a: list[int], from_b: list[int]) -> tuple[int, ...]:
     """The path from the least-index peripheral vertex u to the least index v
-    at distance diam from u (v > u, or v would be the peripheral one), found
-    by BFS alone with no all-pairs table."""
-    if not is_tree(t):
-        raise InputError("longest_path requires a tree")
-    ecc = eccentricities(t)
-    d = max(ecc)
-    dist = bfs_distances(t, ecc.index(d))
+    at distance diam from u (v > u, or v would be the peripheral one).
+
+    u is a or b.  Cut the tree at its center (a vertex, or the middle edge):
+    peripheral vertices are diam apart exactly when they lie in different
+    parts.  Those of a part without 0 are all as far from 0, and farther than
+    any vertex of the part of 0, so a is the least peripheral vertex of its
+    part, and b the least of the other parts."""
+    d, a = max(from_a), from_a.index(0)
+    dist = from_a if a < from_a.index(d) else from_b
     path = [dist.index(d)]
     for k in range(d - 1, -1, -1):
         path.append(next(w for w in t.adjacency[path[-1]] if dist[w] == k))
     return tuple(reversed(path))
 
 
-def _validate_diametrical_path(t: Graph, path) -> None:
+def longest_path(t: Graph) -> tuple[int, ...]:
+    """The first longest path of a tree in endpoint order, from the double
+    sweep alone, with no all-pairs table."""
+    return _longest_path(t, *_double_sweep(t, "longest_path requires a tree"))
+
+
+def _validate_diametrical_path(t: Graph, path, diameter: int) -> tuple[int, ...]:
+    path = tuple(path)
     if len(path) != len(set(path)):
         raise InputError("path revisits a vertex")
     for a, b in zip(path, path[1:]):
         if b not in t.adjacency[a]:
             raise InputError(f"path step {a}-{b} is not an edge")
-    if len(path) - 1 != max(eccentricities(t)):
+    if len(path) - 1 != diameter:
         raise InputError("path is not a longest path of the tree")
+    return path
 
 
 def decompose(t: Graph, path) -> LimbDecomposition | Violation:
@@ -182,10 +194,12 @@ def decompose(t: Graph, path) -> LimbDecomposition | Violation:
     legal limb, else the first violation scanning the spine left to right,
     with the depth test before the shape test at each vertex.
     """
-    if not is_tree(t):
-        raise InputError("decompose requires a tree")
-    path = tuple(path)
-    _validate_diametrical_path(t, path)
+    diameter = max(_distances_from_end(t, "decompose requires a tree"))
+    return _decompose(t, _validate_diametrical_path(t, path, diameter))
+
+
+def _decompose(t: Graph, path: tuple[int, ...]) -> LimbDecomposition | Violation:
+    """`decompose` on a path known to be a longest path of the tree t."""
     on_spine = set(path)
     adj = t.adjacency
     limbs: list[Limb] = []
@@ -232,11 +246,10 @@ def classify_tree(t: Graph) -> Verdict:
     The rule is neither sufficient nor necessary for diametricality;
     `is_diametrical_exact` decides it exactly.
     """
-    if not is_tree(t):
-        raise InputError("classify_tree requires a tree")
+    sweep = _double_sweep(t, "classify_tree requires a tree")
     if t.n == 1:
         return Verdict(False, reason=Violation(SINGLE_VERTEX))
-    dec = decompose(t, longest_path(t))
+    dec = _decompose(t, _longest_path(t, *sweep))
     if isinstance(dec, Violation):
         return Verdict(False, reason=dec)
     d = dec.diameter()
@@ -256,24 +269,14 @@ def witness_matches(t: Graph, dec: LimbDecomposition) -> bool:
 
 def concatenate(t1: Graph, d1, t2: Graph, d2) -> Graph:
     """Glue two trees by identifying the end of one longest path with the
-    start of another; the result is a tree of diameter len(d1)+len(d2)."""
-    if not is_tree(t1) or not is_tree(t2):
-        raise InputError("concatenate requires trees")
-    d1, d2 = tuple(d1), tuple(d2)
-    _validate_diametrical_path(t1, d1)
-    _validate_diametrical_path(t2, d2)
-    joint = d1[-1]
-    glued = d2[0]
-    mapping = {}
-    nxt = t1.n
-    for w in range(t2.n):
-        if w == glued:
-            mapping[w] = joint
-        else:
-            mapping[w] = nxt
-            nxt += 1
+    start of another; the result is a tree of diameter len(d1) + len(d2) - 2."""
+    diam1, diam2 = (max(_distances_from_end(t, "concatenate requires trees")) for t in (t1, t2))
+    d1 = _validate_diametrical_path(t1, d1, diam1)
+    d2 = _validate_diametrical_path(t2, d2, diam2)
+    rest = [w for w in range(t2.n) if w != d2[0]]  # numbered after t1's vertices
+    mapping = {d2[0]: d1[-1], **{w: t1.n + i for i, w in enumerate(rest)}}
     edges = t1.edges() + [(mapping[a], mapping[b]) for a, b in t2.edges()]
-    return build_graph(nxt, edges)
+    return build_graph(t1.n + len(rest), edges)
 
 
 def is_diametrical_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> bool:

@@ -434,25 +434,6 @@ def _lex_advance(entries, watch: tuple, i: int, f: list[int]) -> tuple | None:
     return tuple(out)
 
 
-def enumerate_minimal_broadcasts(
-    g: Graph, cost_bound: int, budget: SolverBudget = DEFAULT_BUDGET
-) -> list[Broadcast]:
-    """Every minimal dominating broadcast of cost <= cost_bound, exactly once,
-    in lexicographic strength-vector order."""
-    _require_connected(g)
-    if cost_bound < 0:
-        raise InputError("cost bound must be non-negative")
-    ctx = _search_context(g, g.n)
-    found: list[Broadcast] = []
-    _search_minimal_broadcasts(
-        ctx,
-        [0, min(cost_bound, ctx.edge_count)],
-        _Nodes(budget.broadcast_node_cap),
-        lambda _c, vec: found.append(Broadcast(vec)),
-    )
-    return found[::-1]  # the search meets them largest first
-
-
 # Distance and adjacency tests the automorphism search may make on one graph
 # before it stops and returns the maps it has found.
 _AUTOMORPHISM_CHECK_CAP = 1_000_000

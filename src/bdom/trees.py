@@ -1,9 +1,10 @@
 """Tree recognition, eccentricities, canonical forms, and tree generation.
 
-A tree needs no all-pairs distance table.  The vertex a farthest from 0 ends
-a longest path, and so does the vertex b farthest from a; every vertex is
-farthest from a or from b, so three BFS give every eccentricity, and with
-them the centers.
+A tree needs no all-pairs distance table.  One double sweep answers every
+tree question: the BFS from 0 tests that the graph is a tree and finds a,
+the least-labelled vertex farthest from 0, the BFS from a finds b, the least
+farthest from a, and the BFS from b ends it.  Every vertex is farthest from
+a or from b, so the larger of its two distances is its eccentricity.
 
 Exhaustive generation walks the canonical level sequences of rooted trees
 (the Beyer-Hedetniemi successor rule, which rewrites the tail of the
@@ -32,30 +33,46 @@ import random
 from typing import Iterator, Sequence
 
 from .errors import CapabilityError, InputError
-from .graphs import Graph, bfs_distances, build_graph, is_connected
+from .graphs import UNREACHABLE, Graph, bfs_distances, build_graph
 
 EXHAUSTIVE_TREE_CAP = 14
 
 
+def _tree_distances_from_0(g: Graph) -> list[int] | None:
+    """The sweep's first BFS: the distances from 0 if g is a tree, else None."""
+    from_0 = bfs_distances(g, 0) if g.edge_count() == g.n - 1 else [UNREACHABLE]
+    return None if UNREACHABLE in from_0 else from_0
+
+
 def is_tree(g: Graph) -> bool:
-    return g.edge_count() == g.n - 1 and is_connected(g)
+    return _tree_distances_from_0(g) is not None
+
+
+def _distances_from_end(t: Graph, refusal: str) -> list[int]:
+    """The distances from a, whose maximum is the diameter: two BFS, or
+    InputError(refusal) if t is not a tree."""
+    from_0 = _tree_distances_from_0(t)
+    if from_0 is None:
+        raise InputError(refusal)
+    return bfs_distances(t, from_0.index(max(from_0)))
+
+
+def _double_sweep(t: Graph, refusal: str) -> tuple[list[int], list[int]]:
+    """The distances from a and from b: three BFS."""
+    from_a = _distances_from_end(t, refusal)
+    return from_a, bfs_distances(t, from_a.index(max(from_a)))
 
 
 def eccentricities(t: Graph) -> list[int]:
-    """Every vertex's eccentricity in a tree, from three BFS."""
-    from_0 = bfs_distances(t, 0)
-    from_a = bfs_distances(t, from_0.index(max(from_0)))
-    from_b = bfs_distances(t, from_a.index(max(from_a)))
-    return [max(x, y) for x, y in zip(from_a, from_b)]
+    """Every vertex's eccentricity in a tree, from the double sweep."""
+    return [max(x, y) for x, y in zip(*_double_sweep(t, "eccentricities requires a tree"))]
 
 
 def tree_centers(g: Graph) -> tuple[int, ...]:
-    """The one or two vertices of least eccentricity in a tree."""
-    if not is_tree(g):
-        raise InputError("tree_centers requires a tree")
-    ecc = eccentricities(g)
-    radius = min(ecc)
-    return tuple(v for v, e in enumerate(ecc) if e == radius)
+    """The one or two vertices of least eccentricity, ceil(diam / 2), in a tree."""
+    from_a, from_b = _double_sweep(g, "tree_centers requires a tree")
+    radius = (max(from_a) + 1) // 2
+    return tuple(v for v, (x, y) in enumerate(zip(from_a, from_b)) if max(x, y) == radius)
 
 
 def _rooted_canonical(adjacency: Sequence[Sequence[int]], root: int) -> str:
@@ -76,8 +93,7 @@ def _rooted_canonical(adjacency: Sequence[Sequence[int]], root: int) -> str:
 
 def canonical_form(g: Graph) -> str:
     """Isomorphism-invariant string for a tree (equal iff trees isomorphic)."""
-    centers = tree_centers(g)
-    return min(_rooted_canonical(g.adjacency, c) for c in centers)
+    return min(_rooted_canonical(g.adjacency, c) for c in tree_centers(g))
 
 
 def _level_sequences(n: int) -> Iterator[list[int]]:

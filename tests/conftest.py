@@ -3,6 +3,9 @@
 The oracles here deliberately avoid the package's search machinery: they
 enumerate raw subsets or raw strength vectors and apply only the predicate
 layer, so solver tests have something genuinely independent to agree with.
+`enumerate_minimal_broadcasts` is the exception: it drives the package's
+broadcast search over a whole cost window, so that the solver tests can
+compare its full stream with the unpruned enumeration.
 """
 
 import itertools
@@ -13,6 +16,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from bdom import solvers
 from bdom.broadcasts import Broadcast, is_minimal_dominating_broadcast, is_minimal_dominating_set
 from bdom.diametrical import (
     SINGLE_VERTEX,
@@ -57,6 +61,22 @@ def brute_minimal_broadcasts(g: Graph, cost_bound=None):
         if is_minimal_dominating_broadcast(g, b):
             out.append(b)
     return out
+
+
+def enumerate_minimal_broadcasts(g: Graph, cost_bound: int):
+    """Every minimal dominating broadcast of cost <= cost_bound that the
+    package's broadcast search meets, exactly once, in lexicographic
+    strength-vector order."""
+    solvers._require_connected(g)
+    ctx = solvers._search_context(g, g.n)
+    found = []
+    solvers._search_minimal_broadcasts(
+        ctx,
+        [0, min(cost_bound, ctx.edge_count)],
+        solvers._Nodes(solvers.DEFAULT_BUDGET.broadcast_node_cap),
+        lambda _c, vec: found.append(Broadcast(vec)),
+    )
+    return found[::-1]  # the search meets them largest first
 
 
 def brute_minimal_dominating_sets(g: Graph):

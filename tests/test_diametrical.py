@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import reference_centers, reference_classify, reference_longest_paths, reference_rule
+from bdom import diametrical, graphs, trees
 from bdom.diametrical import (
     ILLEGAL_LIMB_SHAPE,
     LIMB_TOO_DEEP,
@@ -33,7 +34,7 @@ from bdom.graphs import (
 )
 from bdom.solvers import solve_upper_gamma_b
 from bdom.sweeps import check_tree, summarize
-from bdom.trees import canonical_form, eccentricities, enumerate_trees, random_tree, tree_centers
+from bdom.trees import canonical_form, eccentricities, enumerate_trees, is_tree, random_tree, tree_centers
 
 
 @pytest.fixture
@@ -418,12 +419,12 @@ def test_tree_questions_leave_the_all_pairs_cache_alone():
         assert vars(t).keys() == {"n", "adjacency"}  # no metrics table cached on t
 
 
-def _random_lobsters(count: int, seed: int):
-    """Randomly relabelled lobsters with spines of 2-19 edges and random
-    A/B/C limbs one to four positions apart."""
+def _random_lobsters(count: int, seed: int, spine_below: int = 20):
+    """Randomly relabelled lobsters with spines of 2 to spine_below - 1 edges
+    and random A/B/C limbs one to four positions apart."""
     rng = random.Random(seed)
     for _ in range(count):
-        d = rng.randrange(2, 20)
+        d = rng.randrange(2, spine_below)
         limbs, pos = [], rng.randrange(1, 4)
         while pos < d:
             limbs.append((pos, rng.choice("ABC")))
@@ -442,6 +443,119 @@ def test_one_longest_path_decides():
         assert classify_tree(t).to_json_dict() == reference_classify(t), t.edges()
         accepted += verdicts == {True}
     assert accepted > 200
+
+
+def _sweep_ends_and_u(t):
+    """From the all-pairs table: the double sweep's ends a (the least vertex
+    farthest from 0) and b (the least farthest from a), and the least
+    peripheral vertex u, where `longest_path` starts."""
+    m = metrics(t)
+    a = m.dist[0].index(max(m.dist[0]))
+    return a, m.dist[a].index(m.diameter), m.ecc.index(m.diameter)
+
+
+def test_least_peripheral_vertex_is_a_sweep_end():
+    # the lemma in `_longest_path` that lets it walk the sweep's distances
+    rng = random.Random(4)
+    trees_ = list(enumerate_trees(10)) + list(_random_lobsters(300, 21))
+    trees_ += [random_tree(rng.randrange(2, 80), rng) for _ in range(300)]
+    for t in trees_:
+        perm = rng.sample(range(t.n), t.n)
+        for g in (t, build_graph(t.n, [(perm[u], perm[v]) for u, v in t.edges()])):
+            a, b, u = _sweep_ends_and_u(g)
+            assert u == min(a, b), g.edges()
+
+
+def test_tree_questions_equal_references_on_large_trees():
+    trees_ = [_spider(k) for k in range(20, 61, 8)] + [gen_path(k) for k in (2, 3, 150, 400)]
+    trees_ += list(_random_lobsters(40, 20, spine_below=240))  # up to ~400 vertices
+    for t in trees_:
+        assert longest_path(t) == reference_longest_paths(t)[0], t.edges()
+        assert tree_centers(t) == reference_centers(t), t.edges()
+        assert eccentricities(t) == list(metrics(t).ecc), t.edges()
+        assert canonical_form(t) == min(trees._rooted_canonical(t.adjacency, c) for c in reference_centers(t))
+        assert classify_tree(t).to_json_dict() == reference_classify(t), t.edges()
+
+
+def test_tree_questions_bfs_counts(monkeypatch):
+    calls = []
+    bfs = graphs.bfs_distances
+
+    def counting(g, source):
+        calls.append(source)
+        return bfs(g, source)
+
+    # patched in every tree module, diametrical included, so that a BFS any
+    # of them imports directly is counted too
+    for module in (graphs, trees, diametrical):
+        monkeypatch.setattr(module, "bfs_distances", counting, raising=False)
+    rng = random.Random(3)
+    shuffled = rng.sample(range(300), 300)
+    relabelled = build_graph(300, [(shuffled[u], shuffled[v]) for u, v in random_tree(300, rng).edges()])
+    for t in (gen_path(1500), _spider(40), relabelled):
+        path = longest_path(t)
+        for question, most in (
+            (is_tree, 1),
+            (classify_tree, 3),
+            (longest_path, 3),
+            (lambda t: decompose(t, path), 2),
+            (tree_centers, 3),
+            (canonical_form, 3),
+            (eccentricities, 3),
+        ):
+            calls.clear()
+            question(t)
+            assert len(calls) <= most, (t.n, question)
+
+
+NON_TREES = {
+    "forest": build_graph(4, [(0, 1), (2, 3)]),
+    "cycle": gen_cycle(4),
+    # n - 1 edges, so only the BFS from 0 can tell
+    "triangle-and-vertex": build_graph(4, [(0, 1), (1, 2), (0, 2)]),
+}
+
+
+@pytest.mark.parametrize("g", NON_TREES.values(), ids=NON_TREES.keys())
+def test_tree_questions_refuse_non_trees(g):
+    assert not is_tree(g)
+    t = gen_path(4)
+    for question, message in (
+        (longest_path, "longest_path requires a tree"),
+        (classify_tree, "classify_tree requires a tree"),
+        (lambda g: decompose(g, (0, 1)), "decompose requires a tree"),
+        (tree_centers, "tree_centers requires a tree"),
+        (canonical_form, "tree_centers requires a tree"),
+        (lambda g: concatenate(g, (0, 1), t, (0, 1, 2, 3)), "concatenate requires trees"),
+        (lambda g: concatenate(t, (0, 1, 2, 3), g, (0, 1)), "concatenate requires trees"),
+    ):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            question(g)
+
+
+@pytest.mark.parametrize("g", NON_TREES.values(), ids=NON_TREES.keys())
+def test_eccentricities_refuse_non_trees(g):
+    # three BFS on a non-tree give wrong numbers, such as 1 for two vertices
+    # of C4, whose eccentricities are all 2
+    with pytest.raises(InputError, match="^eccentricities requires a tree$"):
+        eccentricities(g)
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ((0, 1, 2, 4, 5, 6), "path step 2-4 is not an edge"),
+        ((0, 1, 2, 1, 0, 1), "path revisits a vertex"),
+        ((1, 2, 3, 4, 5), "path is not a longest path of the tree"),
+        ((8, 7, 2, 3, 4, 5), "path is not a longest path of the tree"),
+    ],
+)
+def test_decompose_refuses_bad_paths(path, message):
+    t = gen_lobster(LobsterSpec(6, ((2, "A"),)))  # spine 0..6, limb 2-7-8
+    with pytest.raises(InputError, match=f"^{message}$"):
+        decompose(t, path)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        concatenate(t, path, gen_path(2), (0, 1))
 
 
 def test_witness_of_a_deep_path_matches():

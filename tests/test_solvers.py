@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_minimal_broadcasts, brute_minimal_dominating_sets
+from conftest import brute_minimal_broadcasts, brute_minimal_dominating_sets, enumerate_minimal_broadcasts
 
 from bdom import solvers
 from bdom.broadcasts import (
@@ -34,7 +34,6 @@ from bdom.graphs import (
 from bdom.solvers import (
     SolverBudget,
     beats_diameter,
-    enumerate_minimal_broadcasts,
     solve_gamma,
     solve_gamma_b,
     solve_upper_gamma,
