@@ -22,14 +22,10 @@ from . import formulas, sweeps
 from .diametrical import classify_tree, is_diametrical_exact
 from .errors import CapabilityError, InputError
 from .graphs import (
+    FAMILIES,
     Graph,
     LobsterSpec,
-    gen_cycle,
-    gen_grid,
     gen_lobster,
-    gen_path,
-    gen_star,
-    gen_torus,
     graph_from_json,
     parse_edge_list,
     serialize,
@@ -61,34 +57,31 @@ def budget_from_args(args) -> SolverBudget:
 def parse_family(spec: str) -> tuple[str, int | None, int, Graph]:
     """Parse a family spec like torus:3,4 or lobster:12:2,A;5,C.
 
-    Returns (kind, m, n, graph); m is None for one-parameter families.
+    Returns (kind, m, n, graph); m is None for one-parameter families.  Bad
+    syntax is a malformed spec; values the generator refuses keep its message.
     """
     head, _, rest = spec.partition(":")
+    malformed = InputError(f"malformed family spec {spec!r}")
     if not rest:
-        raise InputError(f"malformed family spec {spec!r}")
-    try:
-        if head in ("path", "cycle", "star"):
-            n = int(rest)
-            g = {"path": gen_path, "cycle": gen_cycle, "star": gen_star}[head](n)
-            return head, None, n, g
-        if head in ("grid", "torus"):
-            m_str, n_str = rest.split(",")
-            m, n = int(m_str), int(n_str)
-            g = (gen_grid if head == "grid" else gen_torus)(m, n)
-            return head, m, n, g
-        if head == "lobster":
-            d_str, _, limb_str = rest.partition(":")
+        raise malformed
+    if head == "lobster":
+        d_str, _, limb_str = rest.partition(":")
+        try:
             d = int(d_str)
-            limbs = []
-            if limb_str:
-                for part in limb_str.split(";"):
-                    pos_str, kind = part.split(",")
-                    limbs.append((int(pos_str), kind))
-            g = gen_lobster(LobsterSpec(d, tuple(limbs)))
-            return head, None, d, g
-    except (ValueError, KeyError):
-        raise InputError(f"malformed family spec {spec!r}") from None
-    raise InputError(f"unknown family {head!r}")
+            parts = limb_str.split(";") if limb_str else []
+            limbs = tuple((int(pos), kind) for pos, kind in (p.split(",") for p in parts))
+        except ValueError:
+            raise malformed from None
+        return head, None, d, gen_lobster(LobsterSpec(d, limbs))
+    if head not in FAMILIES:
+        raise InputError(f"unknown family {head!r}")
+    gen, arity = FAMILIES[head]
+    try:
+        params = [int(p) for p in rest.split(",")]
+        m, n = params if arity == 2 else (None, *params)  # unpacks only the right count
+    except ValueError:
+        raise malformed from None
+    return head, m, n, gen(*params)
 
 
 def _load_graph(path: str) -> Graph:
@@ -183,7 +176,7 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     family = args.family
-    if family == "cycle":
+    if FAMILIES[family][1] == 1:
         points = [(None, n) for n in _parse_range(args.n)]
     else:
         if not args.m:

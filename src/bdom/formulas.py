@@ -111,8 +111,9 @@ def grid_is_diametrical(m: int, n: int) -> bool:
     return (m == 1 and n >= 2) or (m, n) == (2, 2)
 
 
-# (family, invariant) -> (evaluator, citation tag, parameter domain).  Cycle
-# evaluators take n, the others (m, n); verdicts are reported as 0 or 1.
+# (family, invariant) -> (evaluator, citation tag, parameter domain).  An
+# evaluator takes the family's parameters, as graphs.FAMILIES counts them: n
+# for a cycle, (m, n) for a grid or torus; verdicts are reported as 0 or 1.
 _FORMULAS = {
     ("cycle", "Gamma_b"): (upper_gamma_b_cycle, "upper-broadcast:cycle", "n >= 3"),
     ("cycle", "diametrical"): (cycle_is_diametrical, "diametrical:cycles-3-4-5", "n >= 3"),
@@ -141,6 +142,6 @@ def evaluate(family: str, invariant: str, m: int | None, n: int) -> InvariantRep
             f"no closed form for invariant {invariant!r} on family {family!r}"
         )
     fn, source, applicability = _FORMULAS[family, invariant]
-    value = fn(n) if family == "cycle" else fn(m, n)
+    value = fn(n) if m is None else fn(m, n)
     return InvariantReport(invariant, int(value), "closed_form",
                            source=source, applicability=applicability)

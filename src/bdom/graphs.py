@@ -150,6 +150,17 @@ def gen_star(k: int) -> Graph:
     return build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
+# family name -> (generator, number of integer parameters); a one-parameter
+# generator takes n, a two-parameter one (m, n).  Lobsters take a LobsterSpec.
+FAMILIES = {
+    "path": (gen_path, 1),
+    "cycle": (gen_cycle, 1),
+    "star": (gen_star, 1),
+    "grid": (gen_grid, 2),
+    "torus": (gen_torus, 2),
+}
+
+
 @dataclass(frozen=True)
 class LobsterSpec:
     """Spine of `path_length` edges plus typed limbs at interior positions.

@@ -93,7 +93,8 @@ DEFAULT_BROADCAST_NODE_CAP = 50_000_000
 
 @dataclass(frozen=True)
 class SolverBudget:
-    broadcast_node_cap: int = DEFAULT_BROADCAST_NODE_CAP  # search nodes, for all four solvers
+    # search nodes, for all four solvers and beats_diameter
+    broadcast_node_cap: int = DEFAULT_BROADCAST_NODE_CAP
 
 
 DEFAULT_BUDGET = SolverBudget()

@@ -1,5 +1,5 @@
-"""The two verification sweeps, defined once for the CLI, the scripts and the
-acceptance tests: closed form against solver, one row per point
+"""The two verification sweeps, defined once for the CLI (which the scripts
+run) and the acceptance tests: closed form against solver, one row per point
 (`verify_point`), and classifier against oracle over a tree corpus
 (`classification_corpus`, `check_tree`).  The oracle behind both is the
 decision search `beats_diameter`; a tree check keeps the broadcast it finds,
@@ -17,7 +17,7 @@ from . import formulas
 from .broadcasts import Broadcast
 from .diametrical import Verdict, classify_tree, is_diametrical_exact
 from .errors import CapabilityError, InputError
-from .graphs import Graph, gen_cycle, gen_grid, gen_torus, serialize
+from .graphs import FAMILIES, Graph, serialize
 from .solvers import (
     DEFAULT_BUDGET,
     SolverBudget,
@@ -34,12 +34,6 @@ INVARIANT_SOLVERS = {
     "Gamma": solve_upper_gamma,
     "gamma_b": solve_gamma_b,
     "Gamma_b": solve_upper_gamma_b,
-}
-
-_FAMILIES = {
-    "cycle": lambda m, n: gen_cycle(n),
-    "torus": gen_torus,
-    "grid": gen_grid,
 }
 
 
@@ -64,7 +58,8 @@ def verify_point(family: str, which: str, m: int | None, n: int,
         row["closed_form"] = formulas.evaluate(family, which, m, n).value
     except (InputError, CapabilityError):
         row["closed_form"] = "n/a"
-    g = _FAMILIES[family](m, n)
+    gen, _ = FAMILIES[family]
+    g = gen(n) if m is None else gen(m, n)
     try:
         if which == "diametrical":
             row["exact"] = int(is_diametrical_exact(g, budget))

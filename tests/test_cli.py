@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from bdom import cli, sweeps
 from bdom.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main, parse_family
 from bdom.errors import InputError
-from bdom.graphs import LobsterSpec, gen_lobster, gen_torus, parse_edge_list, serialize
+from bdom.graphs import FAMILIES, LobsterSpec, gen_lobster, gen_torus, parse_edge_list, serialize
+from bdom.solvers import InvariantReport
 
 
 def run(capsys, *argv):
@@ -31,6 +32,55 @@ def test_parse_family_specs():
         parse_family("torus:3")
     with pytest.raises(InputError):
         parse_family("blob:3,3")
+
+
+@pytest.mark.parametrize("spec, message", [
+    # values the generator refuses keep the generator's own message
+    ("cycle:2", "cycle needs at least 3 vertices, got 2"),
+    ("star:0", "star needs at least 1 leaf, got 0"),
+    ("torus:2,5", "torus rows/columns must have length >= 3, got 2x5"),
+    ("lobster:5:0,A", "limb position 0 not strictly inside the spine"),
+    ("lobster:5:2,Z", "unknown limb kind 'Z'"),
+    # bad syntax and a wrong parameter count are malformed specs
+    ("cycle", "malformed family spec 'cycle'"),
+    ("cycle:x", "malformed family spec 'cycle:x'"),
+    ("torus:3,a", "malformed family spec 'torus:3,a'"),
+    ("lobster:x", "malformed family spec 'lobster:x'"),
+    ("lobster:5:2,A;", "malformed family spec 'lobster:5:2,A;'"),
+    ("lobster:5:2,A,B", "malformed family spec 'lobster:5:2,A,B'"),
+    # a name in no table is an unknown family, whatever follows it
+    ("blob:3,3", "unknown family 'blob'"),
+    ("blob:x", "unknown family 'blob'"),
+])
+def test_parse_family_error_messages(spec, message):
+    with pytest.raises(InputError) as exc:
+        parse_family(spec)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_one_family_table(name, monkeypatch):
+    gen, arity = FAMILIES[name]
+    params = (3, 4)[-arity:]
+    kind, m, n, g = parse_family(f"{name}:{','.join(map(str, params))}")
+    assert (kind, m, n) == (name, params[0] if arity == 2 else None, 4)
+    assert g == gen(*params)
+    # the verify sweep builds the same graph from the same table
+    seen = []
+
+    def record(graph, budget):
+        seen.append(graph)
+        return InvariantReport("gamma", 0, "exact")
+
+    monkeypatch.setitem(sweeps.INVARIANT_SOLVERS, "gamma", record)
+    sweeps.verify_point(name, "gamma", m, n)
+    assert seen == [g]
+
+
+@pytest.mark.parametrize("spec", ["cycle:3,4", "path:3,4", "torus:3", "grid:3,4,5"])
+def test_wrong_parameter_count_is_malformed(spec):
+    with pytest.raises(InputError, match="malformed family spec"):
+        parse_family(spec)
 
 
 def test_invariant_both_matching(capsys):
@@ -87,8 +137,9 @@ def test_invariant_from_file(tmp_path, capsys, fig_graph):
 
 
 def test_invariant_bad_family(capsys):
-    code, _, err = run(capsys, "invariant", "--family", "cycle:2", "--which", "gamma")
-    assert code == EXIT_INPUT and "error" in err
+    code, out, err = run(capsys, "invariant", "--family", "cycle:2", "--which", "gamma")
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: cycle needs at least 3 vertices, got 2\n"
 
 
 def test_verify_cycles(tmp_path, capsys):
