@@ -205,6 +205,12 @@ def cmd_verify(args) -> int:
         writer.writerows(rows)
         text = buf.getvalue()
     _emit(text, args.output)
+    # a sweep that left points unchecked has not verified them
+    skipped = sum(r["exact"] == "skipped:budget" for r in rows)
+    if skipped:
+        print(f"capability error: {skipped} of {len(rows)} points skipped past the node budget",
+              file=sys.stderr)
+        return EXIT_BUDGET
     if any(r["match"] == "false" for r in rows):
         return EXIT_MISMATCH
     return EXIT_OK

@@ -22,7 +22,18 @@ caller may narrow as results come in, and it cuts a subtree when
 * hearing the unheard set U cannot fit under hi: with rho = max |ball(v, s)|
   / s over all vertices v and strengths s from 1 to v's cap, which the orbit
   rounds below only lower, a broadcaster of strength s hears at most rho * s
-  vertices, so U costs at least |U| / rho.
+  vertices, so U costs at least |U| / rho;
+* (`beats_diameter` alone, the private-neighbor lookahead) the broadcaster v
+  just placed can keep no private neighbor: let q be its private-neighbor
+  spots still heard only by v.  A later vertex p hears an unheard vertex u
+  only at a strength of at least max(1, d(p, u)), and once p's ball holds
+  all of q, v has lost them all.  So p hears u and spares v only when u lies
+  in p's safe ball, the largest ball of radius 1 to p's cap that misses part
+  of q, and the branch dies when some unheard vertex lies in no later safe
+  ball.  q only shrinks as the search goes on, so the test never cuts a
+  completable branch, and verdict and witness stay.  Each (position, q)
+  cover is computed once per search; a position whose row is not yet built
+  counts at its whole ball, so the rows stay lazy.
 
 No minimal dominating broadcast costs more than the edge count, which caps
 hi.  Every search tries each vertex's strengths from the top down, with 0
@@ -263,6 +274,7 @@ def _search_minimal_broadcasts(
     on_found: Callable[[int, tuple[int, ...]], None],
     s0: int = 0,
     maps: Sequence[Sequence[int]] = (),
+    lookahead: bool = False,
 ) -> None:
     """DFS over strength vectors, largest first in lexicographic order: each
     position of ctx tries its strengths from the top down, with 0 last.
@@ -278,7 +290,8 @@ def _search_minimal_broadcasts(
     Each of `maps` is an automorphism read as a map pi on search positions
     that keeps every cap (caps[pi[i]] == caps[i]); the search skips every
     vector f that is lexicographically smaller than f o pi, that is f[pi[i]]
-    at position i (the lex-leader cut).
+    at position i (the lex-leader cut).  With `lookahead` it also makes the
+    private-neighbor lookahead of the module docstring.
     """
     n = ctx.n
     strengths = [0] * n
@@ -292,6 +305,27 @@ def _search_minimal_broadcasts(
     cover_num, cover_den = ctx.rows.cover_ratio
     count = nodes.count
     node_cap = nodes.cap
+    covers: dict[tuple[int, int], int] = {}
+
+    def safe_cover(j: int, q: int) -> int:
+        # the vertices some position from j on hears at a strength whose
+        # ball misses part of q; a position without a row counts its whole
+        # ball at its cap, and a cover kept from before its row was built
+        # stays so, weaker but still sound
+        key = (j, q)
+        cover = covers.get(key)
+        if cover is None:
+            cover = 0
+            while j < n and rows[j] is not None:
+                balls = rows[j][0]
+                r = caps[j]
+                while r and not q & ~balls[r]:
+                    r -= 1
+                if r:
+                    cover |= balls[r]
+                j += 1
+            cover = covers[key] = cover | suffix_cover[j]
+        return cover
 
     def rec(i: int, total: int, unheard: int, exactly_one: int, watch: tuple):
         nonlocal count
@@ -367,6 +401,8 @@ def _search_minimal_broadcasts(
                         break
                 if not ok:
                     continue
+            if lookahead and new_unheard and new_unheard & ~safe_cover(i + 1, mine & unheard):
+                continue
             strengths[i] = s
             after = watch if deciding is None else _lex_advance(deciding, watch, i, strengths)
             if after is not None:
@@ -674,6 +710,16 @@ def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast
     come together and the cuts fire early whatever the labels.  The witness
     is the lexicographically largest such broadcast with its strengths read
     in that order.
+
+    It alone makes the private-neighbor lookahead (module docstring), which
+    cuts only branches that hold no minimal dominating broadcast at any
+    cost, so the first find, verdict and witness, is the one the search
+    without it makes.  On trees most branches die only at the last levels,
+    when some broadcaster loses its last private neighbor, and the lookahead
+    sees that early: on the 294 trees of the benchmark's tree sweep it cuts
+    the nodes from 118,789 to 41,648.  The four solvers leave it off: in
+    them it cut only 10% of the benchmark's broadcast-ladder nodes and 1%
+    of its set-ladder nodes.
     """
     _require_connected(g)
     m = metrics(g)
@@ -687,7 +733,9 @@ def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast
         found.append(vec)
         window[0] = window[1] + 1  # the first find decides
 
-    _search_minimal_broadcasts(ctx, window, _Nodes(budget.broadcast_node_cap), on_found)
+    _search_minimal_broadcasts(
+        ctx, window, _Nodes(budget.broadcast_node_cap), on_found, lookahead=True
+    )
     if not found:
         return None
     strengths = [0] * g.n

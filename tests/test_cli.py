@@ -178,6 +178,31 @@ def test_verify_torus_upper_domination_surfaces_mismatch(capsys):
     assert by_point == {(3, 3): "true", (3, 4): "false", (4, 4): "true"}
 
 
+def test_verify_exits_budget_when_points_are_skipped(capsys):
+    code, out, err = run(
+        capsys, "verify", "--family", "cycle", "--which", "Gamma_b", "--n", "3:8",
+        "--budget-nodes", "10",
+    )
+    # the whole table is written first, then the unchecked points fail the run
+    lines = out.splitlines()
+    assert code == EXIT_BUDGET and len(lines) == 7
+    assert [line.split(",")[5] for line in lines[1:]] == ["1", "2"] + ["skipped:budget"] * 4
+    assert err == "capability error: 4 of 6 points skipped past the node budget\n"
+
+
+def test_verify_budget_exit_outranks_mismatch(capsys):
+    # C3xC4 mismatches within 40 nodes; C4xC4 needs 56 and is skipped
+    code, out, _ = run(
+        capsys, "verify", "--family", "torus", "--which", "Gamma", "--m", "3:4", "--n", "3:4",
+        "--budget-nodes", "40", "--format", "json",
+    )
+    rows = json.loads(out)
+    assert code == EXIT_BUDGET
+    assert [(r["exact"], r["match"]) for r in rows] == [
+        (3, "true"), (6, "false"), ("skipped:budget", ""),
+    ]
+
+
 def test_verify_grid_diametrical(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "grid", "--which", "diametrical",

@@ -62,6 +62,14 @@ def test_verify_script_stops_at_the_first_failure():
     assert proc.stderr == "error: BD_BUDGET_NODES must be positive, got 0\n"
 
 
+def test_verify_script_stops_at_a_sweep_with_skipped_points():
+    # the cycle sweep checks C3 and C4 within ten nodes and skips the rest
+    proc = run_script(ROOT / "scripts" / "verify_closed_forms.py", BD_BUDGET_NODES="10")
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stdout.count("family,") == 1 and proc.stdout.count("skipped:budget") == 8
+    assert proc.stderr == "capability error: 8 of 10 points skipped past the node budget\n"
+
+
 def test_tree_script_is_enumerate_check(tree_script, tmp_path, capsys):
     proc = run_script(tree_script)
     assert proc.returncode == EXIT_MISMATCH and proc.stderr == ""

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -571,7 +572,7 @@ import sys
 from bdom import solvers
 from bdom.graphs import gen_cycle, gen_grid, gen_path
 
-def bad_search(ctx, window, nodes, on_found, s0=0, maps=()):
+def bad_search(ctx, window, nodes, on_found, s0=0, maps=(), lookahead=False):
     # (1, 1, 1, 1, 0, ...) dominates P4, C5 and P2xP3, as a broadcast and as
     # the set of vertices 0-3, but vertex 0 or 1 keeps no private neighbour
     print("maps", len(maps))
@@ -626,3 +627,86 @@ def test_package_imports_without_numpy():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def oracle_search(g, monkeypatch, cut=True):
+    """`beats_diameter(g)` and the nodes its search visits, with the
+    private-neighbor lookahead on or, with cut=False, off."""
+    search = solvers._search_minimal_broadcasts
+    counts = []
+
+    def counted(ctx, window, nodes, on_found, s0=0, maps=(), lookahead=False):
+        try:
+            search(ctx, window, nodes, on_found, s0, maps, lookahead=lookahead and cut)
+        finally:
+            counts.append(nodes.count)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_search_minimal_broadcasts", counted)
+        return beats_diameter(g), sum(counts)
+
+
+def random_lobsters(count, seed):
+    """Relabelled lobsters of 12-16 vertices with one to three random limbs;
+    15 of the 40 that seed 22 gives are diametrical."""
+    rng = random.Random(seed)
+    while count:
+        d = rng.randint(6, 13)
+        spots = sorted(rng.sample(range(1, d), rng.randint(1, 3)))
+        t = gen_lobster(LobsterSpec(d, tuple((p, rng.choice("ABC")) for p in spots)))
+        if 12 <= t.n <= 16:
+            count -= 1
+            yield relabelled(t, rng.randrange(10**6))
+
+
+def test_lookahead_keeps_every_oracle_answer(monkeypatch):
+    # the cut removes only branches with no minimal dominating completion, so
+    # the first find, and so broadcast and verdict, stay, and no node is added
+    rng = random.Random(22)
+    trees = [t for t in enumerate_trees(12) if t.n >= 2]
+    trees += [random_tree(rng.randint(15, 18), rng) for _ in range(120)]
+    trees += list(random_lobsters(40, 22))
+    diametrical = cut_total = plain_total = 0
+    for t in trees:
+        (beats, cut_nodes), (plain, plain_nodes) = (
+            oracle_search(t, monkeypatch), oracle_search(t, monkeypatch, cut=False)
+        )
+        assert beats == plain
+        assert cut_nodes <= plain_nodes
+        diametrical += beats is None
+        cut_total += cut_nodes
+        plain_total += plain_nodes
+    assert len(trees) == 1146 and diametrical > 140
+    assert cut_total * 2 < plain_total
+
+
+def test_lookahead_cuts_two_thirds_of_a_diametrical_lobster(monkeypatch):
+    # 43,171 nodes without the cut and 7,091 with it
+    t = gen_lobster(LobsterSpec(12, ((4, "B"), (8, "C"))))
+    (beats, cut_nodes), (_, plain_nodes) = (
+        oracle_search(t, monkeypatch), oracle_search(t, monkeypatch, cut=False)
+    )
+    assert beats is None
+    assert cut_nodes * 3 <= plain_nodes
+
+
+def test_lookahead_leaves_the_ladders_alone():
+    # the benchmark's 62 ladder operations at seed 0, whose values, witnesses
+    # and node counts were recorded before the oracle had the lookahead; a
+    # change to the ladders in perfbench/workloads.py records them again
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from tracing import Tracer
+        from workloads import SOLVERS, build
+    finally:
+        sys.path.pop(0)
+    rows, totals = [], {}
+    for workload in ("broadcast-ladder", "set-ladder"):
+        for op in build(workload, 0, Tracer(False))[0]:
+            r = SOLVERS[op.kind](op.graph)
+            rows.append((op.label, r.value, r.witness_set or r.witness_broadcast.strengths, r.nodes))
+            totals[op.kind] = totals.get(op.kind, 0) + r.nodes
+    assert totals == {"Gamma_b": 13650, "gamma_b": 1703, "gamma": 3803, "Gamma": 9789}
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "4d3520a4084610b915facc26929d450c398d686bca8fb2dfbf06a65f225f4fbf"
+    )
