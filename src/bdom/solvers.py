@@ -34,6 +34,24 @@ caller may narrow as results come in, and it cuts a subtree when
   completable branch, and verdict and witness stay.  Each (position, q)
   cover is computed once per search; a position whose row is not yet built
   counts at its whole ball, so the rows stay lazy.
+* (`beats_diameter` on trees, under the same flag, the private-geodesic
+  bound) the broadcasters from position i on cannot lift the cost to lo.
+  In a minimal dominating broadcast f give each broadcaster v a private
+  neighbor u_v at distance f(v) and a geodesic P_v from v to it, or one
+  edge at v when f(v) = 1 and v is its own only private neighbor.  These
+  edge sets are pairwise disjoint, so f costs at most the edges they use.
+  If P_v and P_w share an edge, the triangle inequality through its ends
+  gives d(w, u_v) + d(v, u_w) <= f(v) + f(w) when both cross it the same
+  way, and 2 less the opposite ways, while privacy needs more than
+  f(v) + f(w); a vertex that is its own private neighbor lies in no other
+  ball, so on no other geodesic, and no two such are adjacent.  A later
+  broadcaster's private neighbor is still unheard, so on a tree its edges
+  lie in F_i(U): the edges that separate a position >= i from an unheard
+  vertex, and the edges at a vertex that is both.  The search cuts a node
+  when its cost so far plus |F_i(U)| is below lo.  The search order is
+  breadth-first, so each edge counts for every nonempty U up to some
+  position and from there on only when U meets one of its sides (`_Spans`);
+  each position's masks are built on its first visit.
 
 No minimal dominating broadcast costs more than the edge count, which caps
 hi.  Every search tries each vertex's strengths from the top down, with 0
@@ -85,8 +103,7 @@ import bisect
 import math
 import operator
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -194,6 +211,70 @@ class _Rows:
         return row
 
 
+class _Spans:
+    """The edges of a tree that the broadcasters from each search position
+    on may use for their private geodesics (module docstring), for an order
+    that is breadth-first from order[0].  built[i] = (always, masks), or
+    None until the search first reaches position i: with U the unheard set,
+    |F_i(U)| is always plus the number of masks that meet U, when U is not
+    empty.
+
+    The edge from p to its child c separates c's subtree from the rest.
+    While searched positions lie on both sides it is in F_i(U) for every
+    nonempty U; from then on only the side that holds the last position
+    has any, and the edge is in F_i(U) once U meets the other side, or c
+    itself while c is still searched."""
+
+    def __init__(self, g: Graph, order: tuple[int, ...]):
+        n = g.n
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        parent = [-1] * n
+        sub = [0] * n  # the subtree below each vertex, as a bit mask
+        last = pos[:]  # the last position in it
+        for j in range(n - 1, 0, -1):
+            v = order[j]
+            p = parent[v] = min(g.adjacency[v], key=pos.__getitem__)
+            sub[v] |= 1 << v
+            sub[p] |= sub[v]
+            if last[v] > last[p]:
+                last[p] = last[v]
+        full = (1 << n) - 1
+        # the edges above the vertex at the last position, as (start, mask
+        # while c is still searched, pos[c], mask after)
+        self.chain = []
+        c, j = order[-1], n - 1
+        while c != order[0]:
+            # the rest holds positions up to j
+            while sub[c] >> order[j] & 1:
+                j -= 1
+            rest = full ^ sub[c]
+            self.chain.append((j + 1, rest | 1 << c, pos[c], rest))
+            c = parent[c]
+        # every other edge: its subtree holds positions up to last[c] only
+        others = sorted((last[c], c) for c in order[1:] if last[c] < n - 1)
+        self.ends = [e for e, _ in others]
+        self.subs = [sub[c] for _, c in others]
+        self.edges = n - 1
+        self.built: list[tuple[int, list[int]] | None] = [None] * n
+
+    def build(self, i: int) -> tuple[int, list[int]]:
+        masks = [
+            early if i <= until else late
+            for start, early, until, late in self.chain
+            if start <= i
+        ]
+        masks += self.subs[: bisect.bisect_left(self.ends, i)]
+        row = self.built[i] = (self.edges - len(masks), masks)
+        return row
+
+
+def _tree_spans(g: Graph, order: tuple[int, ...]) -> _Spans | None:
+    """The private-geodesic spans of g searched in `order`, None unless g is a tree."""
+    return _Spans(g, order) if g.edge_count() == g.n - 1 else None
+
+
 @dataclass(frozen=True)
 class _SearchContext:
     """Tables indexed by search position: position i is vertex rows.order[i]."""
@@ -205,6 +286,7 @@ class _SearchContext:
     suffix_cover: tuple[int, ...]  # union of the balls at positions >= i at their caps
     suffix_strength: tuple[int, ...]  # sum of the caps at positions >= i
     suffix_top: tuple[int, ...]  # largest cap at positions >= i: what each later broadcaster adds
+    spans: _Spans | None = None  # for the private-geodesic bound, on trees
 
 
 def _search_context(g: Graph, top: int, order: tuple[int, ...] | None = None) -> _SearchContext:
@@ -220,14 +302,18 @@ def _search_context(g: Graph, top: int, order: tuple[int, ...] | None = None) ->
     caps = tuple(min(max(m.ecc[v], 1), top) for v in order)
     num, den = 0, 1  # largest |ball(v, s)| / s
     for v, cap in zip(order, caps):
-        layers = Counter(m.dist[v])
-        size = 1
-        for s in range(1, cap + 1):
-            if n * den <= num * s:
-                break  # no ball of radius s or more holds over n vertices
-            size += layers[s]
+        ball = sorted(m.dist[v])  # |ball(v, s)| = bisect_right(ball, s)
+        s = 1
+        while s <= cap:
+            size = bisect.bisect_right(ball, s)
             if size * den > num * s:
                 num, den = size, s
+            # a larger radius r beats num / den only with over
+            # num * r / den >= k vertices, so only from ball[k] on
+            k = num * (s + 1) // den
+            if k >= n:
+                break
+            s = ball[k]
     return _with_caps(g, _Rows(m.dist, caps, order, (num, den)), caps)
 
 
@@ -291,7 +377,8 @@ def _search_minimal_broadcasts(
     that keeps every cap (caps[pi[i]] == caps[i]); the search skips every
     vector f that is lexicographically smaller than f o pi, that is f[pi[i]]
     at position i (the lex-leader cut).  With `lookahead` it also makes the
-    private-neighbor lookahead of the module docstring.
+    private-neighbor lookahead of the module docstring, and the
+    private-geodesic bound when ctx has spans.
     """
     n = ctx.n
     strengths = [0] * n
@@ -306,6 +393,10 @@ def _search_minimal_broadcasts(
     count = nodes.count
     node_cap = nodes.cap
     covers: dict[tuple[int, int], int] = {}
+    spans = ctx.spans if lookahead else None
+    if spans is not None:
+        span_rows = spans.built
+        build_spans = spans.build
 
     def safe_cover(j: int, q: int) -> int:
         # the vertices some position from j on hears at a strength whose
@@ -343,6 +434,18 @@ def _search_minimal_broadcasts(
         lo, hi = window
         if hi < lo or unheard.bit_count() * cover_den > cover_num * (hi - total):
             return
+        if spans is not None:
+            # the broadcasters from i on add at most |F_i(U)|
+            always, masks = span_rows[i] or build_spans(i)
+            need = lo - total - always
+            if need > 0:
+                for mask in masks:
+                    if mask & unheard:
+                        need -= 1
+                        if not need:
+                            break
+                else:
+                    return
         # the optimistic bound total + s + rest must reach lo; it rises with
         # s, so only strengths from `first` on can pass
         rest = suffix_strength[i + 1]
@@ -717,15 +820,22 @@ def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast
     without it makes.  On trees most branches die only at the last levels,
     when some broadcaster loses its last private neighbor, and the lookahead
     sees that early: on the 294 trees of the benchmark's tree sweep it cuts
-    the nodes from 118,789 to 41,648.  The four solvers leave it off: in
-    them it cut only 10% of the benchmark's broadcast-ladder nodes and 1%
-    of its set-ladder nodes.
+    the nodes from 118,789 to 41,648.  On trees it also makes the
+    private-geodesic bound, which cuts only branches whose every completion
+    costs less than the window's lo.  Most of the nodes the lookahead
+    leaves lie on branches that do complete, but only below lo, and the
+    bound takes the corpus to 19,786 nodes.  The four solvers leave both
+    off: the lookahead cut only 10% of the benchmark's broadcast-ladder
+    nodes and 1% of its set-ladder nodes, and on cycles and tori almost
+    every edge stays in F_i(U).
     """
     _require_connected(g)
     m = metrics(g)
     far = m.dist[m.ecc.index(m.diameter)]
     order = tuple(sorted(range(g.n), key=far.__getitem__))  # stable: ties by label
-    ctx = _search_context(g, _broadcast_top(g), order)
+    ctx = replace(
+        _search_context(g, _broadcast_top(g), order), spans=_tree_spans(g, order)
+    )
     window = [m.diameter + 1, ctx.edge_count]
     found: list = []
 

@@ -16,6 +16,7 @@ from bdom import solvers
 from bdom.broadcasts import (
     Broadcast,
     cost,
+    hearers,
     is_minimal_dominating_broadcast,
     is_minimal_dominating_set,
 )
@@ -629,11 +630,20 @@ def test_package_imports_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def oracle_search(g, monkeypatch, cut=True):
+def oracle_search(g, monkeypatch, cut=True, spans=True, eager=False):
     """`beats_diameter(g)` and the nodes its search visits, with the
-    private-neighbor lookahead on or, with cut=False, off."""
+    private-neighbor lookahead on or, with cut=False, off; spans=False turns
+    off only the private-geodesic bound, by building no spans, and
+    eager=True builds every ball row before the search starts."""
     search = solvers._search_minimal_broadcasts
+    context = solvers._search_context
     counts = []
+
+    def built(*args):
+        ctx = context(*args)
+        for i in range(ctx.n):
+            ctx.rows.build(i)
+        return ctx
 
     def counted(ctx, window, nodes, on_found, s0=0, maps=(), lookahead=False):
         try:
@@ -643,6 +653,10 @@ def oracle_search(g, monkeypatch, cut=True):
 
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_search_minimal_broadcasts", counted)
+        if not spans:
+            patch.setattr(solvers, "_tree_spans", lambda _g, _order: None)
+        if eager:
+            patch.setattr(solvers, "_search_context", built)
         return beats_diameter(g), sum(counts)
 
 
@@ -659,13 +673,20 @@ def random_lobsters(count, seed):
             yield relabelled(t, rng.randrange(10**6))
 
 
-def test_lookahead_keeps_every_oracle_answer(monkeypatch):
-    # the cut removes only branches with no minimal dominating completion, so
-    # the first find, and so broadcast and verdict, stay, and no node is added
+def lookahead_corpus():
+    """Every tree of 2-12 vertices, 120 seeded random trees of 15-18 vertices
+    and 40 relabelled random lobsters."""
     rng = random.Random(22)
     trees = [t for t in enumerate_trees(12) if t.n >= 2]
     trees += [random_tree(rng.randint(15, 18), rng) for _ in range(120)]
     trees += list(random_lobsters(40, 22))
+    return trees
+
+
+def test_lookahead_keeps_every_oracle_answer(monkeypatch):
+    # the cut removes only branches with no minimal dominating completion, so
+    # the first find, and so broadcast and verdict, stay, and no node is added
+    trees = lookahead_corpus()
     diametrical = cut_total = plain_total = 0
     for t in trees:
         (beats, cut_nodes), (plain, plain_nodes) = (
@@ -680,8 +701,86 @@ def test_lookahead_keeps_every_oracle_answer(monkeypatch):
     assert cut_total * 2 < plain_total
 
 
+def test_private_geodesic_bound_keeps_every_oracle_answer(monkeypatch):
+    # the bound cuts only branches whose every completion costs less than
+    # lo, so the first find stays.  The lookahead reads a ball row only once
+    # the search has built it, so a branch the bound cuts can leave a row
+    # unbuilt and a later lookahead weaker: the bound adds a few nodes on 58
+    # of these 1146 trees, and none once every row is built up front.  In
+    # all it takes the nodes from 254,314 to 83,782
+    on_total = off_total = 0
+    for t in lookahead_corpus():
+        (on, on_nodes), (off, off_nodes) = (
+            oracle_search(t, monkeypatch), oracle_search(t, monkeypatch, spans=False)
+        )
+        (eager_on, eager_on_nodes), (eager_off, eager_off_nodes) = (
+            oracle_search(t, monkeypatch, eager=True),
+            oracle_search(t, monkeypatch, spans=False, eager=True),
+        )
+        assert on == off == eager_on == eager_off
+        assert eager_on_nodes <= eager_off_nodes
+        on_total += on_nodes
+        off_total += off_nodes
+    assert on_total * 5 <= off_total * 3
+
+
+def test_private_geodesic_bound_counts_self_private_edges():
+    # K_{1,3} searched from leaf 1: (1, 0, 1, 1) in the search order (1, 0,
+    # 2, 3).  When leaf 3 is reached, only 3 itself is unheard and no path
+    # from 3 to an unheard vertex has an edge; without its own edge, or with
+    # position 3 counted as placed, the bound would read 0 and call K_{1,3}
+    # diametrical
+    assert beats_diameter(gen_star(3)) == Broadcast((0, 1, 1, 1))
+
+
+def private_geodesics(g, f):
+    """The edge set of each broadcaster v of f: a BFS geodesic from v to its
+    first private neighbor at distance f(v), or, when f(v) = 1 and v is its
+    own only private neighbor, the edge to v's first neighbor."""
+    dist = metrics(g).dist
+    s = f.strengths
+    heard = [hearers(g, f, u) for u in range(g.n)]
+    out = []
+    for v in range(g.n):
+        if not s[v]:
+            continue
+        private = [u for u in range(g.n) if heard[u] == {v}]
+        far = [u for u in private if dist[v][u] == s[v]]
+        if not far:
+            assert s[v] == 1 and private == [v]
+            out.append({frozenset((v, g.adjacency[v][0]))})
+            continue
+        path = [far[0]]
+        while path[-1] != v:
+            x = path[-1]
+            path.append(next(w for w in g.adjacency[x] if dist[v][w] < dist[v][x]))
+        out.append({frozenset(e) for e in zip(path, path[1:])})
+    return out
+
+
+def test_private_geodesics_are_edge_disjoint():
+    # the lemma behind the bound, on every minimal dominating broadcast: the
+    # unpruned enumeration on the trees of up to 6 vertices and on the
+    # non-trees of PRUNED_VS_BRUTE, and the search's full stream, which
+    # the tests above check against it, on the 34 trees of 7 and 8
+    # vertices (the unpruned enumeration would read 10.6M vectors there)
+    small = [t for t in enumerate_trees(8) if t.n >= 2]
+    streams = [(t, brute_minimal_broadcasts(t)) for t in small if t.n <= 6]
+    streams += [(g, brute_minimal_broadcasts(g)) for g in PRUNED_VS_BRUTE
+                if g.edge_count() >= g.n]
+    streams += [(t, enumerate_minimal_broadcasts(t, t.edge_count())) for t in small if t.n > 6]
+    checked = 0
+    for g, broadcasts in streams:
+        for f in broadcasts:
+            edges = private_geodesics(g, f)
+            assert sum(map(len, edges)) == len(set().union(*edges)) == cost(f)
+            checked += 1
+    assert checked == 156 + 161 + 1300
+
+
 def test_lookahead_cuts_two_thirds_of_a_diametrical_lobster(monkeypatch):
-    # 43,171 nodes without the cut and 7,091 with it
+    # 43,171 nodes without either oracle cut, 7,091 with the lookahead alone
+    # and 1,008 with the private-geodesic bound too
     t = gen_lobster(LobsterSpec(12, ((4, "B"), (8, "C"))))
     (beats, cut_nodes), (_, plain_nodes) = (
         oracle_search(t, monkeypatch), oracle_search(t, monkeypatch, cut=False)
