@@ -54,7 +54,6 @@ from .graphs import (
 )
 from .solvers import (
     InvariantReport,
-    SolverBudget,
     beats_diameter,
     solve_gamma,
     solve_gamma_b,

@@ -30,7 +30,7 @@ from .graphs import (
     parse_edge_list,
     serialize,
 )
-from .solvers import SolverBudget
+from .solvers import DEFAULT_NODE_BUDGET
 from .sweeps import INVARIANT_SOLVERS
 
 EXIT_OK = 0
@@ -40,18 +40,18 @@ EXIT_MISMATCH = 3
 
 BUDGET_ENV_VAR = "BD_BUDGET_NODES"
 
-def budget_from_args(args) -> SolverBudget:
-    """The solver budget from --budget-nodes, else the environment."""
+def budget_from_args(args) -> int:
+    """The node budget from --budget-nodes, else the environment."""
     nodes, source = args.budget_nodes, "--budget-nodes"
     if nodes is None:
         env, source = os.environ.get(BUDGET_ENV_VAR), BUDGET_ENV_VAR
         try:
-            nodes = int(env) if env else SolverBudget().broadcast_node_cap
+            nodes = int(env) if env else DEFAULT_NODE_BUDGET
         except ValueError:
             raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
     if nodes < 1:
         raise InputError(f"{source} must be positive, got {nodes}")
-    return SolverBudget(broadcast_node_cap=nodes)
+    return nodes
 
 
 def parse_family(spec: str) -> tuple[str, int | None, int, Graph]:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .graphs import Graph, LobsterSpec, build_graph, gen_lobster
-from .solvers import DEFAULT_BUDGET, SolverBudget, beats_diameter
+from .solvers import DEFAULT_NODE_BUDGET, beats_diameter
 from .trees import _distances_from_end, _double_sweep, canonical_form
 
 PAIR_MIN_GAP = {
@@ -279,7 +279,7 @@ def concatenate(t1: Graph, d1, t2: Graph, d2) -> Graph:
     return build_graph(t1.n + len(rest), edges)
 
 
-def is_diametrical_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> bool:
+def is_diametrical_exact(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Oracle: no minimal dominating broadcast costs more than the diameter.
 
     A single vertex has no dominating broadcast at all and counts as

@@ -48,9 +48,9 @@ caller may narrow as results come in, and it cuts a subtree when
   broadcaster's private neighbor is still unheard, so on a tree its edges
   lie in F_i(U): the edges that separate a position >= i from an unheard
   vertex, and the edges at a vertex that is both.  The search cuts a node
-  when its cost so far plus |F_i(U)| is below lo.  The search order is
-  breadth-first, so each edge counts for every nonempty U up to some
-  position and from there on only when U meets one of its sides (`_Spans`);
+  when its cost so far plus |F_i(U)| is below lo.  An edge whose two sides
+  both hold a position >= i counts for every nonempty U, and any other once
+  U meets the side without one or an end of the edge at one (`_Spans`);
   each position's masks are built on its first visit.
 
 No minimal dominating broadcast costs more than the edge count, which caps
@@ -116,16 +116,8 @@ from .broadcasts import (
 from .errors import CapabilityError, InputError
 from .graphs import Graph, is_connected, metrics
 
-DEFAULT_BROADCAST_NODE_CAP = 50_000_000
-
-
-@dataclass(frozen=True)
-class SolverBudget:
-    # search nodes, for all four solvers and beats_diameter
-    broadcast_node_cap: int = DEFAULT_BROADCAST_NODE_CAP
-
-
-DEFAULT_BUDGET = SolverBudget()
+# search nodes, for all four solvers and beats_diameter
+DEFAULT_NODE_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -219,54 +211,35 @@ class _Spans:
     |F_i(U)| is always plus the number of masks that meet U, when U is not
     empty.
 
-    The edge from p to its child c separates c's subtree from the rest.
-    While searched positions lie on both sides it is in F_i(U) for every
-    nonempty U; from then on only the side that holds the last position
-    has any, and the edge is in F_i(U) once U meets the other side, or c
-    itself while c is still searched."""
+    Let L be the vertices at positions >= i.  The edge from a vertex to its
+    child c has two sides, c's subtree and the rest.  When L meets both it
+    is in F_i(U) for every nonempty U; otherwise it is in F_i(U) once U
+    meets the side L misses or one of the edge's ends in L."""
 
     def __init__(self, g: Graph, order: tuple[int, ...]):
         n = g.n
         pos = [0] * n
         for i, v in enumerate(order):
             pos[v] = i
-        parent = [-1] * n
-        sub = [0] * n  # the subtree below each vertex, as a bit mask
-        last = pos[:]  # the last position in it
-        for j in range(n - 1, 0, -1):
-            v = order[j]
-            p = parent[v] = min(g.adjacency[v], key=pos.__getitem__)
-            sub[v] |= 1 << v
-            sub[p] |= sub[v]
-            if last[v] > last[p]:
-                last[p] = last[v]
         full = (1 << n) - 1
-        # the edges above the vertex at the last position, as (start, mask
-        # while c is still searched, pos[c], mask after)
-        self.chain = []
-        c, j = order[-1], n - 1
-        while c != order[0]:
-            # the rest holds positions up to j
-            while sub[c] >> order[j] & 1:
-                j -= 1
-            rest = full ^ sub[c]
-            self.chain.append((j + 1, rest | 1 << c, pos[c], rest))
-            c = parent[c]
-        # every other edge: its subtree holds positions up to last[c] only
-        others = sorted((last[c], c) for c in order[1:] if last[c] < n - 1)
-        self.ends = [e for e, _ in others]
-        self.subs = [sub[c] for _, c in others]
-        self.edges = n - 1
+        sub = [1 << v for v in range(n)]  # the subtree below each vertex, as a bit mask
+        self.edges = []  # (the child's subtree, the rest, the two ends) per edge
+        for v in reversed(order[1:]):
+            p = min(g.adjacency[v], key=pos.__getitem__)
+            sub[p] |= sub[v]
+            self.edges.append((sub[v], full ^ sub[v], 1 << v | 1 << p))
+        self.later = list(accumulate((1 << v for v in reversed(order)), operator.or_))[::-1]
         self.built: list[tuple[int, list[int]] | None] = [None] * n
 
     def build(self, i: int) -> tuple[int, list[int]]:
-        masks = [
-            early if i <= until else late
-            for start, early, until, late in self.chain
-            if start <= i
-        ]
-        masks += self.subs[: bisect.bisect_left(self.ends, i)]
-        row = self.built[i] = (self.edges - len(masks), masks)
+        later = self.later[i]
+        always, masks = 0, []
+        for side, rest, ends in self.edges:
+            if side & later and rest & later:
+                always += 1
+            else:
+                masks.append((rest if side & later else side) | ends & later)
+        row = self.built[i] = (always, masks)
         return row
 
 
@@ -712,9 +685,7 @@ def _automorphisms(g: Graph) -> list[list[int]]:
     return maps
 
 
-def _solve(
-    g: Graph, invariant: str, top: int, budget: SolverBudget, maximize: bool
-) -> InvariantReport:
+def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> InvariantReport:
     """The least or greatest cost of a minimal dominating vector with
     strengths up to top (1: a set), and its lexicographically largest
     witness.
@@ -724,7 +695,7 @@ def _solve(
     """
     _require_connected(g)
     ctx = _search_context(g, top)
-    nodes = _Nodes(budget.broadcast_node_cap)
+    nodes = _Nodes(budget)
     found: list = []
 
     def on_found(c, vec):
@@ -784,27 +755,27 @@ def _broadcast_top(g: Graph) -> int:
     return g.n
 
 
-def solve_gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
+def solve_gamma(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
     """Minimum size of a minimal dominating set."""
     return _solve(g, "gamma", 1, budget, maximize=False)
 
 
-def solve_upper_gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
+def solve_upper_gamma(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
     """Maximum size of a minimal dominating set."""
     return _solve(g, "Gamma", 1, budget, maximize=True)
 
 
-def solve_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
+def solve_gamma_b(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
     """Minimum cost of a minimal dominating broadcast."""
     return _solve(g, "gamma_b", _broadcast_top(g), budget, maximize=False)
 
 
-def solve_upper_gamma_b(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
+def solve_upper_gamma_b(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
     """Maximum cost of a minimal dominating broadcast."""
     return _solve(g, "Gamma_b", _broadcast_top(g), budget, maximize=True)
 
 
-def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast | None:
+def beats_diameter(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Broadcast | None:
     """A minimal dominating broadcast that costs more than the diameter;
     None when there is none, that is when Gamma_b equals the diameter.
 
@@ -819,15 +790,13 @@ def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast
     cost, so the first find, verdict and witness, is the one the search
     without it makes.  On trees most branches die only at the last levels,
     when some broadcaster loses its last private neighbor, and the lookahead
-    sees that early: on the 294 trees of the benchmark's tree sweep it cuts
-    the nodes from 118,789 to 41,648.  On trees it also makes the
-    private-geodesic bound, which cuts only branches whose every completion
-    costs less than the window's lo.  Most of the nodes the lookahead
-    leaves lie on branches that do complete, but only below lo, and the
-    bound takes the corpus to 19,786 nodes.  The four solvers leave both
-    off: the lookahead cut only 10% of the benchmark's broadcast-ladder
-    nodes and 1% of its set-ladder nodes, and on cycles and tori almost
-    every edge stays in F_i(U).
+    sees that early.  On trees it also makes the private-geodesic bound,
+    which cuts only branches whose every completion costs less than the
+    window's lo: most of the nodes the lookahead leaves lie on branches that
+    do complete, but only below lo.  The four solvers leave both off: the
+    lookahead cut only 10% of the benchmark's broadcast-ladder nodes and 1%
+    of its set-ladder nodes, and on cycles and tori almost every edge stays
+    in F_i(U).
     """
     _require_connected(g)
     m = metrics(g)
@@ -843,9 +812,7 @@ def beats_diameter(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> Broadcast
         found.append(vec)
         window[0] = window[1] + 1  # the first find decides
 
-    _search_minimal_broadcasts(
-        ctx, window, _Nodes(budget.broadcast_node_cap), on_found, lookahead=True
-    )
+    _search_minimal_broadcasts(ctx, window, _Nodes(budget), on_found, lookahead=True)
     if not found:
         return None
     strengths = [0] * g.n

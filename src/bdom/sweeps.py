@@ -19,8 +19,7 @@ from .diametrical import Verdict, classify_tree, is_diametrical_exact
 from .errors import CapabilityError, InputError
 from .graphs import FAMILIES, Graph, serialize
 from .solvers import (
-    DEFAULT_BUDGET,
-    SolverBudget,
+    DEFAULT_NODE_BUDGET,
     beats_diameter,
     solve_gamma,
     solve_gamma_b,
@@ -38,7 +37,7 @@ INVARIANT_SOLVERS = {
 
 
 def verify_point(family: str, which: str, m: int | None, n: int,
-                 budget: SolverBudget = DEFAULT_BUDGET) -> dict:
+                 budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """One sweep row: the closed form ("n/a" when none covers the point), the
     exact value ("skipped:budget" past the budget), whether they match, the
     solver's nodes and the row's wall time in milliseconds."""
@@ -111,7 +110,7 @@ class TreeCheck:
         return self.verdict.diametrical == self.exact
 
 
-def check_tree(t: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> TreeCheck:
+def check_tree(t: Graph, budget: int = DEFAULT_NODE_BUDGET) -> TreeCheck:
     """Classify t and search for a broadcast that beats its diameter."""
     return TreeCheck(t, classify_tree(t), beats_diameter(t, budget) if t.n > 1 else None)
 

@@ -73,7 +73,7 @@ def enumerate_minimal_broadcasts(g: Graph, cost_bound: int):
     solvers._search_minimal_broadcasts(
         ctx,
         [0, min(cost_bound, ctx.edge_count)],
-        solvers._Nodes(solvers.DEFAULT_BUDGET.broadcast_node_cap),
+        solvers._Nodes(solvers.DEFAULT_NODE_BUDGET),
         lambda _c, vec: found.append(Broadcast(vec)),
     )
     return found[::-1]  # the search meets them largest first

@@ -34,7 +34,6 @@ from bdom.graphs import (
     metrics,
 )
 from bdom.solvers import (
-    SolverBudget,
     beats_diameter,
     solve_gamma,
     solve_gamma_b,
@@ -288,7 +287,7 @@ def test_witnesses_are_lexicographically_largest_vectors(fig_graph):
 
 def test_gamma_b_of_a_long_path_within_a_small_budget():
     # strongest-first, the deepening round at hi = 20 meets an optimum at once
-    assert solve_gamma_b(gen_path(60), SolverBudget(10_000)).value == 20
+    assert solve_gamma_b(gen_path(60), 10_000).value == 20
 
 
 def test_torus_maxima_within_small_budgets():
@@ -297,21 +296,21 @@ def test_torus_maxima_within_small_budgets():
     # 223k; with both 132k and 59k (181k and 114k while the orbit rounds
     # tested only the maps that fix vertex 0)
     g = gen_torus(6, 6)
-    assert solve_upper_gamma_b(g, SolverBudget(150_000)).value == 24
-    assert solve_upper_gamma(g, SolverBudget(80_000)).value == 18
+    assert solve_upper_gamma_b(g, 150_000).value == 24
+    assert solve_upper_gamma(g, 80_000).value == 18
 
 
 def test_node_budget_reports_estimate():
     # C3xC4 takes 44 nodes
     g = gen_torus(3, 4)
     with pytest.raises(CapabilityError, match="search space"):
-        solve_upper_gamma_b(g, SolverBudget(broadcast_node_cap=10))
+        solve_upper_gamma_b(g, 10)
 
 
 def test_node_budget_bounds_the_set_search():
     g = gen_torus(3, 4)
     with pytest.raises(CapabilityError, match="search space"):
-        solve_upper_gamma(g, SolverBudget(broadcast_node_cap=10))
+        solve_upper_gamma(g, 10)
 
 
 def test_solvers_reject_disconnected():
@@ -731,6 +730,71 @@ def test_private_geodesic_bound_counts_self_private_edges():
     # position 3 counted as placed, the bound would read 0 and call K_{1,3}
     # diametrical
     assert beats_diameter(gen_star(3)) == Broadcast((0, 1, 1, 1))
+
+
+def keep_spans(monkeypatch):
+    """A list to which `_tree_spans` appends each (spans, order) it returns."""
+    made = []
+    tree_spans = solvers._tree_spans
+
+    def kept(g, order):
+        spans = tree_spans(g, order)
+        made.append((spans, order))
+        return spans
+
+    monkeypatch.setattr(solvers, "_tree_spans", kept)
+    return made
+
+
+def brute_span_count(t, order, i):
+    """U -> |F_i(U)| by the definition: the edges on a path from a position
+    >= i to a vertex of U, plus the edges at a vertex that is both."""
+    dist = metrics(t).dist
+    later = set(order[i:])
+    rows = []  # per edge: the vertices it separates from some later vertex, and its later ends
+    for a, b in t.edges():
+        far = sum(
+            1 << y for y in range(t.n) if any(
+                dist[x][a] + 1 + dist[b][y] == dist[x][y] or dist[x][b] + 1 + dist[a][y] == dist[x][y]
+                for x in later
+            )
+        )
+        rows.append((far, sum(1 << v for v in (a, b) if v in later)))
+    return lambda unheard: sum(bool((far | ends) & unheard) for far, ends in rows)
+
+
+def test_span_rows_count_the_private_geodesic_edges(monkeypatch):
+    # every position and nonempty U on the trees of 2-8 vertices, and a
+    # seeded sample of U on relabelled random trees of 12-16 vertices, each
+    # in the order beats_diameter searches it
+    made = keep_spans(monkeypatch)
+    small = [t for t in enumerate_trees(8) if t.n >= 2]
+    rng = random.Random(24)
+    large = [relabelled(random_tree(rng.randint(12, 16), rng), rng.randrange(10**6)) for _ in range(6)]
+    for t in small + large:
+        beats_diameter(t)
+        spans, order = made.pop()
+        for i in range(t.n):
+            if t.n <= 8:
+                unheards = range(1, 1 << t.n)
+            else:
+                unheards = [rng.randrange(1, 1 << t.n) for _ in range(100)]
+                unheards += [1 << v for v in range(t.n)]
+            always, masks = spans.build(i)
+            count = brute_span_count(t, order, i)
+            for unheard in unheards:
+                assert always + sum(bool(mask & unheard) for mask in masks) == count(unheard)
+
+
+def test_span_rows_are_built_where_the_search_goes(monkeypatch):
+    # ten nodes reach at most ten positions of the 1000-vertex lobster
+    made = keep_spans(monkeypatch)
+    t = gen_lobster(LobsterSpec(998, ((499, "C"),)))
+    assert t.n == 1000
+    with pytest.raises(CapabilityError, match="node budget"):
+        beats_diameter(t, 10)
+    spans, _ = made.pop()
+    assert 0 < sum(row is not None for row in spans.built) <= 10
 
 
 def private_geodesics(g, f):
