@@ -53,6 +53,14 @@ caller may narrow as results come in, and it cuts a subtree when
   U meets the side without one or an end of the edge at one (`_Spans`);
   each position's masks are built on its first visit.
 
+Each solve builds one `_Search`, which holds the search order, each
+position's top strength, rho, the ball rows, built on a run's first visit,
+and the node count against the budget.  Each round of the solve (the
+minimum's deepening, the orbit rounds below) is one `run`, which builds the
+suffix tables once per caps.  `run` takes one Python frame per position and
+raises the recursion limit by n while it runs; a graph of more than
+_DEPTH_CAP vertices is refused before its distance table is built.
+
 No minimal dominating broadcast costs more than the edge count, which caps
 hi.  Every search tries each vertex's strengths from the top down, with 0
 last, so it meets the vectors largest first in lexicographic order.  Each
@@ -103,7 +111,7 @@ import bisect
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -118,6 +126,9 @@ from .graphs import Graph, is_connected, metrics
 
 # search nodes, for all four solvers and beats_diameter
 DEFAULT_NODE_BUDGET = 50_000_000
+# The most positions a search takes.  It recurses once per position, and
+# CPython 3.10 also spends a C stack frame on each Python call.
+_DEPTH_CAP = 5_000
 
 
 @dataclass(frozen=True)
@@ -151,10 +162,12 @@ class InvariantReport:
         return out
 
 
-def _require_connected(g: Graph) -> None:
-    # one BFS, so that a disconnected graph never builds the all-pairs table
+def _require_searchable(g: Graph) -> None:
+    # one BFS, so that a graph the search refuses never builds the all-pairs table
     if not is_connected(g):
         raise CapabilityError("solver requires a connected graph")
+    if g.n > _DEPTH_CAP:
+        raise CapabilityError(f"search of depth {g.n} exceeds the depth cap ({_DEPTH_CAP})")
 
 
 def _check_witness(invariant: str, ok: bool) -> None:
@@ -165,42 +178,6 @@ def _check_witness(invariant: str, ok: bool) -> None:
     """
     if not ok:
         raise AssertionError(f"{invariant} witness rejected by the predicate layer")
-
-
-class _Rows:
-    """The graph's distance rows read in a search order: position i is
-    vertex order[i].  built[i] = (ball, cand) for the strengths 0..tops[i]
-    of that vertex v, or None until the search first reaches it: ball[s]
-    holds the vertices within distance s of v, cand[s] the spots where a
-    broadcaster of strength s at v may keep its private neighbor.  The sets
-    are bit masks over the graph's own labels."""
-
-    def __init__(
-        self,
-        dist: tuple[tuple[int, ...], ...],
-        tops: tuple[int, ...],
-        order: tuple[int, ...],
-        cover_ratio: tuple[int, int],
-    ):
-        self.dist = dist
-        self.tops = tops
-        self.order = order
-        self.cover_ratio = cover_ratio  # (num, den): max |ball(v, s)| / s, 1 <= s <= top of v
-        self.built: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * len(tops)
-
-    def build(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        v = self.order[i]
-        top = self.tops[i]
-        spheres = [0] * (top + 1)
-        for u, d in enumerate(self.dist[v]):
-            if d <= top:
-                spheres[d] |= 1 << u
-        ball = tuple(accumulate(spheres, operator.or_))
-        # a private neighbor must sit at distance exactly s, except that a
-        # strength-1 broadcaster may also be its own private neighbor
-        spheres[1] |= 1 << v
-        row = self.built[i] = (ball, tuple(spheres))
-        return row
 
 
 class _Spans:
@@ -243,280 +220,271 @@ class _Spans:
         return row
 
 
-def _tree_spans(g: Graph, order: tuple[int, ...]) -> _Spans | None:
-    """The private-geodesic spans of g searched in `order`, None unless g is a tree."""
-    return _Spans(g, order) if g.edge_count() == g.n - 1 else None
+class _Search:
+    """One solve's search of g: position i is vertex order[i] (label order
+    when None), with strengths up to tops[i] = min(ecc, top), at least 1.
+    top = 1 searches vertex sets, and top = n broadcasts; a lone vertex still
+    forms the set {v}.  `nodes` counts the nodes of every `run` against one
+    `budget`.
 
+    rows[i] = (ball, cand) for the strengths 0..tops[i] of v = order[i], or
+    None until a run first reaches position i: ball[s] holds the vertices
+    within distance s of v, cand[s] the spots where a broadcaster of
+    strength s at v may keep its private neighbor, as bit masks over the
+    graph's own labels."""
 
-@dataclass(frozen=True)
-class _SearchContext:
-    """Tables indexed by search position: position i is vertex rows.order[i]."""
+    def __init__(self, g: Graph, top: int, budget: int, order: tuple[int, ...] | None = None):
+        m = metrics(g)
+        n = self.n = g.n
+        self.g, self.dist, self.ecc = g, m.dist, m.ecc
+        self.order = order = tuple(range(n)) if order is None else order
+        self.tops = tops = tuple(min(max(m.ecc[v], 1), top) for v in order)
+        num, den = 0, 1  # largest |ball(v, s)| / s
+        for v, cap in zip(order, tops):
+            ball = sorted(m.dist[v])  # |ball(v, s)| = bisect_right(ball, s)
+            s = 1
+            while s <= cap:
+                size = bisect.bisect_right(ball, s)
+                if size * den > num * s:
+                    num, den = size, s
+                # a larger radius r beats num / den only with over
+                # num * r / den >= k vertices, so only from ball[k] on
+                k = num * (s + 1) // den
+                if k >= n:
+                    break
+                s = ball[k]
+        self.cover_ratio = (num, den)  # max |ball(v, s)| / s, 1 <= s <= top of v
+        self.rows: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * n
+        self.spans: _Spans | None = None  # for the private-geodesic bound, on trees
+        self.nodes, self.budget = 0, budget
+        self.suffixes: dict[tuple[int, ...], tuple] = {}  # caps -> suffix tables
 
-    n: int
-    edge_count: int
-    caps: tuple[int, ...]  # caps[i]: the largest strength searched at position i
-    rows: _Rows  # built up to strengths at least caps[i]
-    suffix_cover: tuple[int, ...]  # union of the balls at positions >= i at their caps
-    suffix_strength: tuple[int, ...]  # sum of the caps at positions >= i
-    suffix_top: tuple[int, ...]  # largest cap at positions >= i: what each later broadcaster adds
-    spans: _Spans | None = None  # for the private-geodesic bound, on trees
+    def build_row(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        v = self.order[i]
+        top = self.tops[i]
+        spheres = [0] * (top + 1)
+        for u, d in enumerate(self.dist[v]):
+            if d <= top:
+                spheres[d] |= 1 << u
+        ball = tuple(accumulate(spheres, operator.or_))
+        # a private neighbor must sit at distance exactly s, except that a
+        # strength-1 broadcaster may also be its own private neighbor
+        spheres[1] |= 1 << v
+        row = self.rows[i] = (ball, tuple(spheres))
+        return row
 
+    def suffix_tables(self, caps: tuple[int, ...]) -> tuple:
+        """For each position i, the union of the balls at positions >= i at
+        their caps, the sum of those caps, and the largest of them: what
+        each later broadcaster adds."""
+        n = self.n
+        cover = [0] * (n + 1)
+        strength = [0] * (n + 1)
+        most = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            v, cap = self.order[i], caps[i]
+            if cap >= self.ecc[v]:
+                ball = (1 << n) - 1
+            else:
+                ball = sum(1 << u for u, d in enumerate(self.dist[v]) if d <= cap)
+            cover[i] = cover[i + 1] | ball
+            strength[i] = strength[i + 1] + cap
+            most[i] = max(most[i + 1], cap)
+        return cover, strength, most
 
-def _search_context(g: Graph, top: int, order: tuple[int, ...] | None = None) -> _SearchContext:
-    """Search tables for strengths up to min(ecc(v), top) at each vertex v,
-    searched in `order`, label order when None.
+    def run(
+        self,
+        window: list[int],
+        on_found: Callable[[int, tuple[int, ...]], None],
+        caps: tuple[int, ...] | None = None,
+        s0: int = 0,
+        maps: Sequence[Sequence[int]] = (),
+        lookahead: bool = False,
+    ) -> None:
+        """DFS over strength vectors, largest first in lexicographic order:
+        position i tries its strengths from caps[i] down, with 0 last; caps
+        is tops when None, and each cap is at most its top, so that the
+        cover ratio still bounds it.
 
-    top = 1 searches vertex sets, and top = n broadcasts.  A lone vertex, of
-    eccentricity 0, still forms the set {v}, so its cap is 1.
-    """
-    m = metrics(g)
-    n = g.n
-    order = tuple(range(n)) if order is None else order
-    caps = tuple(min(max(m.ecc[v], 1), top) for v in order)
-    num, den = 0, 1  # largest |ball(v, s)| / s
-    for v, cap in zip(order, caps):
-        ball = sorted(m.dist[v])  # |ball(v, s)| = bisect_right(ball, s)
-        s = 1
-        while s <= cap:
-            size = bisect.bisect_right(ball, s)
-            if size * den > num * s:
-                num, den = size, s
-            # a larger radius r beats num / den only with over
-            # num * r / den >= k vertices, so only from ball[k] on
-            k = num * (s + 1) // den
-            if k >= n:
-                break
-            s = ball[k]
-    return _with_caps(g, _Rows(m.dist, caps, order, (num, den)), caps)
+        Calls on_found(cost, strengths) for every minimal dominating
+        broadcast whose cost lies in the window [lo, hi] = `window`, with hi
+        at most the edge count; strengths[i] is the strength of vertex
+        order[i].  on_found may narrow the window by raising lo; raising it
+        past hi closes the window and ends the search.  With s0 >= 1,
+        position 0 is fixed at strength s0 (at most its cap) and the search
+        starts from the state after it.  A budget error also reports the
+        size of the space.
 
-
-def _with_caps(g: Graph, rows: _Rows, caps: tuple[int, ...]) -> _SearchContext:
-    """A context on `rows` whose positions are searched up to `caps`, each at
-    most the row's top, so that the rows' cover ratio still bounds it."""
-    m = metrics(g)
-    n = g.n
-    suffix_cover = [0] * (n + 1)
-    suffix_strength = [0] * (n + 1)
-    suffix_top = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        v, cap = rows.order[i], caps[i]
-        if cap >= m.ecc[v]:
-            ball = (1 << n) - 1
-        else:
-            ball = sum(1 << u for u, d in enumerate(m.dist[v]) if d <= cap)
-        suffix_cover[i] = suffix_cover[i + 1] | ball
-        suffix_strength[i] = suffix_strength[i + 1] + cap
-        suffix_top[i] = max(suffix_top[i + 1], cap)
-    return _SearchContext(
-        n,
-        g.edge_count(),
-        caps,
-        rows,
-        tuple(suffix_cover),
-        tuple(suffix_strength),
-        tuple(suffix_top),
-    )
-
-
-class _Nodes:
-    __slots__ = ("count", "cap")
-
-    def __init__(self, cap: int):
-        self.count = 0
-        self.cap = cap
-
-
-def _search_minimal_broadcasts(
-    ctx: _SearchContext,
-    window: list[int],
-    nodes: _Nodes,
-    on_found: Callable[[int, tuple[int, ...]], None],
-    s0: int = 0,
-    maps: Sequence[Sequence[int]] = (),
-    lookahead: bool = False,
-) -> None:
-    """DFS over strength vectors, largest first in lexicographic order: each
-    position of ctx tries its strengths from the top down, with 0 last.
-
-    Calls on_found(cost, strengths) for every minimal dominating broadcast
-    whose cost lies in the window [lo, hi] = `window`, with hi at most the
-    edge count; strengths[i] is the strength of vertex ctx.rows.order[i].
-    on_found may narrow the window by raising lo; raising it past hi closes
-    the window and ends the search.  With s0 >= 1, position 0 is fixed at
-    strength s0 (at most its cap) and the search starts from the state
-    after it.  A budget error also reports the size of the space.
-
-    Each of `maps` is an automorphism read as a map pi on search positions
-    that keeps every cap (caps[pi[i]] == caps[i]); the search skips every
-    vector f that is lexicographically smaller than f o pi, that is f[pi[i]]
-    at position i (the lex-leader cut).  With `lookahead` it also makes the
-    private-neighbor lookahead of the module docstring, and the
-    private-geodesic bound when ctx has spans.
-    """
-    n = ctx.n
-    strengths = [0] * n
-    support: list[int] = []  # private-neighbor spots of the broadcasters so far
-    rows = ctx.rows.built
-    build_row = ctx.rows.build
-    caps = ctx.caps
-    suffix_cover = ctx.suffix_cover
-    suffix_strength = ctx.suffix_strength
-    suffix_top = ctx.suffix_top
-    cover_num, cover_den = ctx.rows.cover_ratio
-    count = nodes.count
-    node_cap = nodes.cap
-    covers: dict[tuple[int, int], int] = {}
-    spans = ctx.spans if lookahead else None
-    if spans is not None:
-        span_rows = spans.built
-        build_spans = spans.build
-
-    def safe_cover(j: int, q: int) -> int:
-        # the vertices some position from j on hears at a strength whose
-        # ball misses part of q; a position without a row counts its whole
-        # ball at its cap, and a cover kept from before its row was built
-        # stays so, weaker but still sound
-        key = (j, q)
-        cover = covers.get(key)
-        if cover is None:
-            cover = 0
-            while j < n and rows[j] is not None:
-                balls = rows[j][0]
-                r = caps[j]
-                while r and not q & ~balls[r]:
-                    r -= 1
-                if r:
-                    cover |= balls[r]
-                j += 1
-            cover = covers[key] = cover | suffix_cover[j]
-        return cover
-
-    def rec(i: int, total: int, unheard: int, exactly_one: int, watch: tuple):
-        nonlocal count
-        count += 1
-        if count > node_cap:
-            logsize = sum(math.log10(c + 1) for c in caps)
-            raise CapabilityError(
-                f"broadcast search exceeded the node budget ({node_cap}); "
-                f"search space ~10^{logsize:.0f} strength vectors"
-            )
-        if i == n:
-            if unheard == 0:
-                on_found(total, tuple(strengths))
-            return
-        lo, hi = window
-        if hi < lo or unheard.bit_count() * cover_den > cover_num * (hi - total):
-            return
+        Each of `maps` is an automorphism read as a map pi on positions
+        that keeps every cap; the search skips every f that is
+        lexicographically smaller than f o pi (the lex-leader cut).  With
+        `lookahead` it also makes the private-neighbor lookahead and, on a
+        tree, the private-geodesic bound (module docstring).
+        """
+        n = self.n
+        caps = self.tops if caps is None else caps
+        if caps not in self.suffixes:
+            self.suffixes[caps] = self.suffix_tables(caps)
+        suffix_cover, suffix_strength, suffix_top = self.suffixes[caps]
+        strengths = [0] * n
+        support: list[int] = []  # private-neighbor spots of the broadcasters so far
+        rows = self.rows
+        build_row = self.build_row
+        cover_num, cover_den = self.cover_ratio
+        count = self.nodes
+        node_cap = self.budget
+        covers: dict[tuple[int, int], int] = {}
+        spans = None
+        if lookahead and self.g.edge_count() == n - 1:
+            spans = self.spans = self.spans or _Spans(self.g, self.order)
         if spans is not None:
-            # the broadcasters from i on add at most |F_i(U)|
-            always, masks = span_rows[i] or build_spans(i)
-            need = lo - total - always
-            if need > 0:
-                for mask in masks:
-                    if mask & unheard:
-                        need -= 1
-                        if not need:
-                            break
-                else:
-                    return
-        # the optimistic bound total + s + rest must reach lo; it rises with
-        # s, so only strengths from `first` on can pass
-        rest = suffix_strength[i + 1]
-        first = lo - rest - total
-        # each later broadcaster adds at most `most` and keeps a private
-        # neighbor of its own that is still unheard
-        most = suffix_top[i + 1]
-        outside = ~suffix_cover[i + 1]  # vertices no later broadcaster can reach
-        row = rows[i]
-        if row is None:
-            row = build_row(i)
-        balls, cands = row
-        top = hi - total
-        if top > caps[i]:
-            top = caps[i]
-        low = 0
-        deciding = None
-        if watch[0][0] == i:
-            # the maps whose next comparison reads position i bound its
-            # strength: f[i] >= f[pi[i]] for k = i, f[i] <= f[k] for pi[k] = i
-            split = 1
-            while watch[split][0] == i:
-                split += 1
-            deciding, watch = watch[:split], watch[split:]
-            for _, k, pi in deciding:
-                if k == i:
-                    if strengths[pi[i]] > low:
-                        low = strengths[pi[i]]
-                elif strengths[k] < top:
-                    top = strengths[k]
-        for s in range(top, low - 1 if low else 0, -1):
-            if s < first:  # every smaller strength fails too; first rises with lo
-                break
-            mine = cands[s]
-            # mine lies inside the ball, whose unheard vertices are the only
-            # ones there left heard exactly once: a private neighbor must be one
-            if mine & unheard == 0:
-                continue
-            b = balls[s]
-            heard_now = unheard & b
-            new_unheard = unheard ^ heard_now
-            if new_unheard & outside:
-                continue
-            need = lo - total - s
-            if need > 0 and new_unheard.bit_count() * most < need:
-                continue
-            heard_twice = exactly_one & b
-            new_exactly_one = exactly_one ^ heard_twice | heard_now
-            # only vertices heard for the second time can take a private
-            # neighbor away from an earlier broadcaster
-            if heard_twice:
-                ok = True
-                for cm in support:
-                    if cm & new_exactly_one == 0:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            if lookahead and new_unheard and new_unheard & ~safe_cover(i + 1, mine & unheard):
-                continue
-            strengths[i] = s
-            after = watch if deciding is None else _lex_advance(deciding, watch, i, strengths)
-            if after is not None:
-                support.append(mine)
-                rec(i + 1, total + s, new_unheard, new_exactly_one, after)
-                support.pop()
-            strengths[i] = 0
-            lo = window[0]
-            if hi < lo:
+            span_rows, build_spans = spans.built, spans.build
+
+        def safe_cover(j: int, q: int) -> int:
+            # the vertices some position from j on hears at a strength whose
+            # ball misses part of q; a position without a row counts its whole
+            # ball at its cap, and a cover kept from before its row was built
+            # stays so, weaker but still sound
+            key = (j, q)
+            cover = covers.get(key)
+            if cover is None:
+                cover = 0
+                while j < n and rows[j] is not None:
+                    balls = rows[j][0]
+                    r = caps[j]
+                    while r and not q & ~balls[r]:
+                        r -= 1
+                    if r:
+                        cover |= balls[r]
+                    j += 1
+                cover = covers[key] = cover | suffix_cover[j]
+            return cover
+
+        def rec(i: int, total: int, unheard: int, exactly_one: int, watch: tuple):
+            nonlocal count
+            count += 1
+            if count > node_cap:
+                logsize = sum(math.log10(c + 1) for c in caps)
+                raise CapabilityError(
+                    f"broadcast search exceeded the node budget ({node_cap}); "
+                    f"search space ~10^{logsize:.0f} strength vectors"
+                )
+            if i == n:
+                if unheard == 0:
+                    on_found(total, tuple(strengths))
                 return
+            lo, hi = window
+            if hi < lo or unheard.bit_count() * cover_den > cover_num * (hi - total):
+                return
+            if spans is not None:
+                # the broadcasters from i on add at most |F_i(U)|
+                always, masks = span_rows[i] or build_spans(i)
+                need = lo - total - always
+                if need > 0:
+                    for mask in masks:
+                        if mask & unheard:
+                            need -= 1
+                            if not need:
+                                break
+                    else:
+                        return
+            # the optimistic bound total + s + rest must reach lo; it rises with
+            # s, so only strengths from `first` on can pass
+            rest = suffix_strength[i + 1]
             first = lo - rest - total
-        if low == 0 and first <= 0 and unheard & outside == 0:
-            need = lo - total
-            if need <= 0 or unheard.bit_count() * most >= need:
+            # each later broadcaster adds at most `most` and keeps a private
+            # neighbor of its own that is still unheard
+            most = suffix_top[i + 1]
+            outside = ~suffix_cover[i + 1]  # vertices no later broadcaster can reach
+            row = rows[i]
+            if row is None:
+                row = build_row(i)
+            balls, cands = row
+            top = hi - total
+            if top > caps[i]:
+                top = caps[i]
+            low = 0
+            deciding = None
+            if watch[0][0] == i:
+                # the maps whose next comparison reads position i bound its
+                # strength: f[i] >= f[pi[i]] for k = i, f[i] <= f[k] for pi[k] = i
+                split = 1
+                while watch[split][0] == i:
+                    split += 1
+                deciding, watch = watch[:split], watch[split:]
+                for _, k, pi in deciding:
+                    if k == i:
+                        if strengths[pi[i]] > low:
+                            low = strengths[pi[i]]
+                    elif strengths[k] < top:
+                        top = strengths[k]
+            for s in range(top, low - 1 if low else 0, -1):
+                if s < first:  # every smaller strength fails too; first rises with lo
+                    break
+                mine = cands[s]
+                # mine lies inside the ball, whose unheard vertices are the only
+                # ones there left heard exactly once: a private neighbor must be one
+                if mine & unheard == 0:
+                    continue
+                b = balls[s]
+                heard_now = unheard & b
+                new_unheard = unheard ^ heard_now
+                if new_unheard & outside:
+                    continue
+                need = lo - total - s
+                if need > 0 and new_unheard.bit_count() * most < need:
+                    continue
+                heard_twice = exactly_one & b
+                new_exactly_one = exactly_one ^ heard_twice | heard_now
+                # only vertices heard for the second time can take a private
+                # neighbor away from an earlier broadcaster
+                if heard_twice:
+                    ok = True
+                    for cm in support:
+                        if cm & new_exactly_one == 0:
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                if lookahead and new_unheard and new_unheard & ~safe_cover(i + 1, mine & unheard):
+                    continue
+                strengths[i] = s
                 after = watch if deciding is None else _lex_advance(deciding, watch, i, strengths)
                 if after is not None:
-                    rec(i + 1, total, unheard, exactly_one, after)
+                    support.append(mine)
+                    rec(i + 1, total + s, new_unheard, new_exactly_one, after)
+                    support.pop()
+                strengths[i] = 0
+                lo = window[0]
+                if hi < lo:
+                    return
+                first = lo - rest - total
+            if low == 0 and first <= 0 and unheard & outside == 0:
+                need = lo - total
+                if need <= 0 or unheard.bit_count() * most >= need:
+                    after = watch if deciding is None else _lex_advance(deciding, watch, i, strengths)
+                    if after is not None:
+                        rec(i + 1, total, unheard, exactly_one, after)
 
-    start, unheard, exactly_one = 0, (1 << n) - 1, 0
-    if s0:
-        balls, cands = rows[0] or build_row(0)
-        start, unheard, exactly_one = 1, unheard ^ balls[s0], balls[s0]
-        strengths[0] = s0
-        support.append(cands[s0])
-    # entries (r, k, pi), sorted on r: pi's next comparison f[k] against
-    # f[pi[k]], decided once position r = max(k, pi[k]) is set; the last
-    # entry never comes due
-    watch = _lex_advance([(0, 0, pi) for pi in maps], ((n,),), start - 1, strengths)
-    if watch is None:
-        return
-    try:
-        rec(start, s0, unheard, exactly_one, watch)
-    except RecursionError:  # one frame per position
-        raise CapabilityError(
-            f"search of depth {n} exceeds Python's recursion limit ({sys.getrecursionlimit()})"
-        ) from None
-    finally:
-        nodes.count = count
+        start, unheard, exactly_one = 0, (1 << n) - 1, 0
+        if s0:
+            balls, cands = rows[0] or build_row(0)
+            start, unheard, exactly_one = 1, unheard ^ balls[s0], balls[s0]
+            strengths[0] = s0
+            support.append(cands[s0])
+        # entries (r, k, pi), sorted on r: pi's next comparison f[k] against
+        # f[pi[k]], decided once position r = max(k, pi[k]) is set; the last
+        # entry never comes due
+        watch = _lex_advance([(0, 0, pi) for pi in maps], ((n,),), start - 1, strengths)
+        if watch is None:
+            return
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + n)  # one frame per position
+        try:
+            rec(start, s0, unheard, exactly_one, watch)
+        finally:
+            sys.setrecursionlimit(limit)
+            self.nodes = count
 
 
 _DUE = operator.itemgetter(0)  # a watch entry's position r
@@ -693,9 +661,8 @@ def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> I
     The search meets the vectors largest first, so the witness is the
     first optimum found, and every find raises lo past its cost.
     """
-    _require_connected(g)
-    ctx = _search_context(g, top)
-    nodes = _Nodes(budget)
+    _require_searchable(g)
+    search = _Search(g, top, budget)
     found: list = []
 
     def on_found(c, vec):
@@ -706,9 +673,9 @@ def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> I
         # a vertex of the largest cap at full strength dominates minimally
         # (a peripheral vertex attains the diameter); a lone vertex has no
         # edge but forms the set {v}
-        top_cap = max(ctx.caps)
-        window = [top_cap, max(ctx.edge_count, 1)]
-        rounds = [(ctx, 0)]
+        top_cap = max(search.tops)
+        window = [top_cap, max(g.edge_count(), 1)]
+        rounds = [(None, 0)]
         # positions are labels here, so each automorphism is its own map on
         # positions, and it keeps the caps, which follow the eccentricities
         maps = _automorphisms(g)
@@ -716,36 +683,30 @@ def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> I
             # one round per s0 from the top cap down, each on the same rows
             # with caps min(cap, s0) and the window the rounds before left;
             # a set search has one round, over the sets that hold vertex 0
-            rounds = (
-                (_with_caps(g, ctx.rows, tuple(min(c, s0) for c in ctx.caps)), s0)
-                for s0 in range(top_cap, 0, -1)
-            )
+            rounds = [(tuple(min(c, s0) for c in search.tops), s0) for s0 in range(top_cap, 0, -1)]
         maps = maps[:_LEX_MAP_CAP]
-        for round_ctx, s0 in rounds:
-            _search_minimal_broadcasts(round_ctx, window, nodes, on_found, s0, maps)
+        for caps, s0 in rounds:
+            search.run(window, on_found, caps=caps, s0=s0, maps=maps)
     else:
         # deepen hi until a round finds something, with one node budget for
         # all rounds; each round found nothing below hi, so its first find
         # closes it
         window = [0, 0]
-
-        for hi in range(1, ctx.suffix_strength[0] + 1):
+        for hi in range(1, sum(search.tops) + 1):
             window[:] = [0, hi]
-            _search_minimal_broadcasts(ctx, window, nodes, on_found)
+            search.run(window, on_found)
             if found:
                 break
     value, vec = found[-1]
     if top == 1:
         members = tuple(v for v, s in enumerate(vec) if s)
         _check_witness(invariant, is_minimal_dominating_set(g, members) and len(members) == value)
-        return InvariantReport(invariant, value, "exact", witness_set=members, nodes=nodes.count)
+        return InvariantReport(invariant, value, "exact", witness_set=members, nodes=search.nodes)
     witness = Broadcast(vec)
     _check_witness(
         invariant, is_minimal_dominating_broadcast(g, witness) and cost(witness) == value
     )
-    return InvariantReport(
-        invariant, value, "exact", witness_broadcast=witness, nodes=nodes.count
-    )
+    return InvariantReport(invariant, value, "exact", witness_broadcast=witness, nodes=search.nodes)
 
 
 def _broadcast_top(g: Graph) -> int:
@@ -798,21 +759,19 @@ def beats_diameter(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Broadcast | N
     of its set-ladder nodes, and on cycles and tori almost every edge stays
     in F_i(U).
     """
-    _require_connected(g)
+    _require_searchable(g)
     m = metrics(g)
     far = m.dist[m.ecc.index(m.diameter)]
     order = tuple(sorted(range(g.n), key=far.__getitem__))  # stable: ties by label
-    ctx = replace(
-        _search_context(g, _broadcast_top(g), order), spans=_tree_spans(g, order)
-    )
-    window = [m.diameter + 1, ctx.edge_count]
+    search = _Search(g, _broadcast_top(g), budget, order)
+    window = [m.diameter + 1, g.edge_count()]
     found: list = []
 
     def on_found(_c, vec):
         found.append(vec)
         window[0] = window[1] + 1  # the first find decides
 
-    _search_minimal_broadcasts(ctx, window, _Nodes(budget), on_found, lookahead=True)
+    search.run(window, on_found, lookahead=True)
     if not found:
         return None
     strengths = [0] * g.n

@@ -39,8 +39,9 @@ INVARIANT_SOLVERS = {
 def verify_point(family: str, which: str, m: int | None, n: int,
                  budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """One sweep row: the closed form ("n/a" when none covers the point), the
-    exact value ("skipped:budget" past the budget), whether they match, the
-    solver's nodes and the row's wall time in milliseconds."""
+    exact value ("skipped:budget" past the budget, "n/a" when the solver
+    refuses the point), whether they match, the solver's nodes and the row's
+    wall time in milliseconds."""
     row = {
         "family": family,
         "m": "" if m is None else m,
@@ -68,6 +69,8 @@ def verify_point(family: str, which: str, m: int | None, n: int,
             row["nodes"] = rep.nodes
     except CapabilityError:
         row["exact"] = "skipped:budget"
+    except InputError:  # a point the solver refuses, as a lone vertex for gamma_b
+        row["exact"] = "n/a"
     if isinstance(row["closed_form"], int) and isinstance(row["exact"], int):
         row["match"] = "true" if row["closed_form"] == row["exact"] else "false"
     row["millis"] = int((time.monotonic() - started) * 1000)

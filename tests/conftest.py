@@ -67,14 +67,10 @@ def enumerate_minimal_broadcasts(g: Graph, cost_bound: int):
     """Every minimal dominating broadcast of cost <= cost_bound that the
     package's broadcast search meets, exactly once, in lexicographic
     strength-vector order."""
-    solvers._require_connected(g)
-    ctx = solvers._search_context(g, g.n)
+    solvers._require_searchable(g)
     found = []
-    solvers._search_minimal_broadcasts(
-        ctx,
-        [0, min(cost_bound, ctx.edge_count)],
-        solvers._Nodes(solvers.DEFAULT_NODE_BUDGET),
-        lambda _c, vec: found.append(Broadcast(vec)),
+    solvers._Search(g, g.n, solvers.DEFAULT_NODE_BUDGET).run(
+        [0, min(cost_bound, g.edge_count())], lambda _c, vec: found.append(Broadcast(vec))
     )
     return found[::-1]  # the search meets them largest first
 

@@ -214,6 +214,19 @@ def test_verify_grid_diametrical(capsys):
     assert all(r["match"] == "true" for r in rows)
 
 
+def test_verify_writes_n_a_where_the_solver_refuses_a_point(capsys):
+    # a 1x1 grid is a lone vertex, which has no dominating broadcast
+    code, out, _ = run(
+        capsys, "verify", "--family", "grid", "--which", "gamma_b", "--m", "1:2", "--n", "1:3",
+    )
+    rows = [line.split(",") for line in out.splitlines()]
+    assert code == EXIT_OK
+    assert [row[1:3] + row[5:7] for row in rows[1:]] == [
+        ["1", "1", "n/a", ""], ["1", "2", "1", ""], ["1", "3", "1", ""],
+        ["2", "2", "2", ""], ["2", "3", "2", ""],
+    ]
+
+
 def test_verify_deterministic_apart_from_timing(tmp_path, capsys):
     argv = ["verify", "--family", "cycle", "--which", "Gamma_b", "--n", "3:8"]
     code1, out1, _ = run(capsys, *argv)
@@ -332,16 +345,33 @@ def test_budget_ends_a_large_oracle_search(tmp_path, capsys):
     assert code == EXIT_BUDGET and "node budget" in err and out == ""
 
 
-def test_search_deeper_than_the_recursion_limit_is_refused():
-    # the maximum search recurses once per vertex, and a star of 1000 leaves
-    # has 1001; a fresh interpreter keeps Python's default limit of 1000
+def bdom_at_the_default_recursion_limit(*argv):
+    """`bdom argv` in a fresh interpreter, which keeps Python's default
+    recursion limit of 1000."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "bdom", "invariant", "--family", "star:1000", "--which", "Gamma_b"],
+    return subprocess.run(
+        [sys.executable, "-m", "bdom", *argv],
         capture_output=True, env={**os.environ, "PYTHONPATH": src}, text=True, timeout=60,
     )
+
+
+def test_search_deeper_than_the_recursion_limit_is_refused():
+    # the search recurses once per vertex, and a star of 5000 leaves has 5001,
+    # one past the deepest search; it is refused before any distance table
+    proc = bdom_at_the_default_recursion_limit(
+        "invariant", "--family", "star:5000", "--which", "Gamma_b"
+    )
     assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
-    assert "recursion limit" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr == "capability error: search of depth 5001 exceeds the depth cap (5000)\n"
+
+
+def test_search_deeper_than_the_default_recursion_limit_answers():
+    # 1100 positions, past the default limit of 1000 frames
+    proc = bdom_at_the_default_recursion_limit(
+        "invariant", "--family", "path:1100", "--which", "Gamma_b"
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 1099
 
 
 def test_verify_parallel_matches_serial(capsys):

@@ -40,6 +40,7 @@ from bdom.solvers import (
     solve_upper_gamma,
     solve_upper_gamma_b,
 )
+from bdom.sweeps import classification_corpus
 from bdom.trees import enumerate_trees, prufer_to_graph, random_tree
 
 
@@ -428,13 +429,13 @@ def test_orbit_cut_fires_on_relabelled_inputs(g, monkeypatch):
 def test_every_orbit_round_gets_maps_that_move_vertex_0(g, monkeypatch):
     assert transitive(g)
     rounds = []
-    search = solvers._search_minimal_broadcasts
+    run = solvers._Search.run
 
-    def recording(ctx, window, nodes, on_found, s0=0, maps=()):
+    def recording(search, window, on_found, s0=0, maps=(), **kwargs):
         rounds.append((s0, maps))
-        return search(ctx, window, nodes, on_found, s0, maps)
+        return run(search, window, on_found, s0=s0, maps=maps, **kwargs)
 
-    monkeypatch.setattr(solvers, "_search_minimal_broadcasts", recording)
+    monkeypatch.setattr(solvers._Search, "run", recording)
     for solver, top_cap in ((solve_upper_gamma_b, metrics(g).diameter), (solve_upper_gamma, 1)):
         rounds.clear()
         solver(g)
@@ -559,12 +560,10 @@ def test_large_groups_fill_the_map_cap(g):
 def test_rows_are_built_where_the_search_goes():
     # ten nodes reach at most ten vertices, so at most ten of the 1000 rows exist
     g = gen_path(1000)
-    ctx = solvers._search_context(g, g.n)
+    search = solvers._Search(g, g.n, 10)
     with pytest.raises(CapabilityError, match="node budget"):
-        solvers._search_minimal_broadcasts(
-            ctx, [0, ctx.edge_count], solvers._Nodes(10), lambda _c, _vec: None
-        )
-    assert sum(row is not None for row in ctx.rows.built) <= 10
+        search.run([0, g.edge_count()], lambda _c, _vec: None)
+    assert sum(row is not None for row in search.rows) <= 10
 
 
 WITNESS_CHECK_UNDER_O = """
@@ -572,15 +571,15 @@ import sys
 from bdom import solvers
 from bdom.graphs import gen_cycle, gen_grid, gen_path
 
-def bad_search(ctx, window, nodes, on_found, s0=0, maps=(), lookahead=False):
+def bad_run(search, window, on_found, maps=(), **_):
     # (1, 1, 1, 1, 0, ...) dominates P4, C5 and P2xP3, as a broadcast and as
     # the set of vertices 0-3, but vertex 0 or 1 keeps no private neighbour
     print("maps", len(maps))
-    on_found(4, (1, 1, 1, 1) + (0,) * (ctx.n - 4))
+    on_found(4, (1, 1, 1, 1) + (0,) * (search.n - 4))
 
 g = {graph}
 print("transitive", len(solvers._orbit(0, solvers._automorphisms(g))) == g.n)
-solvers._search_minimal_broadcasts = bad_search
+solvers._Search.run = bad_run
 try:
     solvers.{solver}(g)
 except AssertionError as exc:
@@ -634,28 +633,22 @@ def oracle_search(g, monkeypatch, cut=True, spans=True, eager=False):
     private-neighbor lookahead on or, with cut=False, off; spans=False turns
     off only the private-geodesic bound, by building no spans, and
     eager=True builds every ball row before the search starts."""
-    search = solvers._search_minimal_broadcasts
-    context = solvers._search_context
+    run = solvers._Search.run
     counts = []
 
-    def built(*args):
-        ctx = context(*args)
-        for i in range(ctx.n):
-            ctx.rows.build(i)
-        return ctx
-
-    def counted(ctx, window, nodes, on_found, s0=0, maps=(), lookahead=False):
+    def counted(search, window, on_found, lookahead=False, **kwargs):
+        if eager:
+            for i in range(search.n):
+                search.build_row(i)
         try:
-            search(ctx, window, nodes, on_found, s0, maps, lookahead=lookahead and cut)
+            run(search, window, on_found, lookahead=lookahead and cut, **kwargs)
         finally:
-            counts.append(nodes.count)
+            counts.append(search.nodes)
 
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_search_minimal_broadcasts", counted)
+        patch.setattr(solvers._Search, "run", counted)
         if not spans:
-            patch.setattr(solvers, "_tree_spans", lambda _g, _order: None)
-        if eager:
-            patch.setattr(solvers, "_search_context", built)
+            patch.setattr(solvers, "_Spans", lambda _g, _order: None)
         return beats_diameter(g), sum(counts)
 
 
@@ -733,16 +726,17 @@ def test_private_geodesic_bound_counts_self_private_edges():
 
 
 def keep_spans(monkeypatch):
-    """A list to which `_tree_spans` appends each (spans, order) it returns."""
+    """A list to which each search appends its (spans, order) once it has run."""
     made = []
-    tree_spans = solvers._tree_spans
+    run = solvers._Search.run
 
-    def kept(g, order):
-        spans = tree_spans(g, order)
-        made.append((spans, order))
-        return spans
+    def kept(search, *args, **kwargs):
+        try:
+            run(search, *args, **kwargs)
+        finally:
+            made.append((search.spans, search.order))
 
-    monkeypatch.setattr(solvers, "_tree_spans", kept)
+    monkeypatch.setattr(solvers._Search, "run", kept)
     return made
 
 
@@ -872,4 +866,16 @@ def test_lookahead_leaves_the_ladders_alone():
     assert totals == {"Gamma_b": 13650, "gamma_b": 1703, "gamma": 3803, "Gamma": 9789}
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "4d3520a4084610b915facc26929d450c398d686bca8fb2dfbf06a65f225f4fbf"
+    )
+
+
+def test_oracle_leaves_the_corpus_alone(monkeypatch):
+    # the tree-side twin of the test above: the oracle on the 294 corpus
+    # trees of two or more vertices, whose node total and witnesses were
+    # recorded before the search's state was folded into one `_Search`
+    rows = [oracle_search(t, monkeypatch) for t in classification_corpus() if t.n > 1]
+    assert len(rows) == 294 and sum(nodes for _, nodes in rows) == 19786
+    witnesses = [None if beats is None else beats.strengths for beats, _ in rows]
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == (
+        "a4642f76109b08f5e655342f812b84f7e37965f6686edb7cc2c016c0c49bf7a6"
     )
