@@ -10,7 +10,9 @@ decrement test equivalent to testing every smaller broadcast.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import CapabilityError, InputError
@@ -93,15 +95,35 @@ def private_neighbors(g: Graph, f: Broadcast, v: int) -> frozenset[int]:
 
 
 def is_minimal_dominating_broadcast(g: Graph, f: Broadcast) -> bool:
-    """Dominating, and every single-unit decrement breaks domination."""
-    if not is_dominating(g, f):
-        return False
+    """Dominating, and every single-unit decrement breaks domination.
+
+    Each broadcaster's hearers at its strength s and at s - 1 are bit masks
+    read from the distance table; one lowered to 0 broadcasts no more, so
+    not even it hears itself.  The broadcast with broadcaster i lowered
+    dominates when the balls before i, its lowered ball and the balls after
+    i cover every vertex, read from prefix and suffix ORs.
+    """
+    dist = _connected_dist(g)
+    balls, lowered = [], []
     for v, s in enumerate(f.strengths):
-        if s == 0:
-            continue
-        lowered = Broadcast(f.strengths[:v] + (s - 1,) + f.strengths[v + 1 :])
-        if is_dominating(g, lowered):
+        if s > 0:
+            ball = below = 0
+            for u, d in enumerate(dist[v]):
+                if d <= s:
+                    ball |= 1 << u
+                    if d < s:
+                        below |= 1 << u
+            balls.append(ball)
+            lowered.append(below if s > 1 else 0)
+    full = (1 << g.n) - 1
+    suffix = list(accumulate(reversed(balls), operator.or_, initial=0))[::-1]
+    if suffix[0] != full:
+        return False
+    prefix = 0
+    for ball, below, after in zip(balls, lowered, suffix[1:]):
+        if prefix | below | after == full:
             return False
+        prefix |= ball
     return True
 
 

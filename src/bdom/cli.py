@@ -206,10 +206,14 @@ def cmd_verify(args) -> int:
         text = buf.getvalue()
     _emit(text, args.output)
     # a sweep that left points unchecked has not verified them
-    skipped = sum(r["exact"] == "skipped:budget" for r in rows)
+    skipped = 0
+    for key, cap in (("budget", "node budget"), ("depth", "depth cap")):
+        count = sum(r["exact"] == f"skipped:{key}" for r in rows)
+        if count:
+            print(f"capability error: {count} of {len(rows)} points skipped past the {cap}",
+                  file=sys.stderr)
+            skipped += count
     if skipped:
-        print(f"capability error: {skipped} of {len(rows)} points skipped past the node budget",
-              file=sys.stderr)
         return EXIT_BUDGET
     if any(r["match"] == "false" for r in rows):
         return EXIT_MISMATCH

@@ -7,3 +7,7 @@ class InputError(ValueError):
 
 class CapabilityError(RuntimeError):
     """Instance exceeds a configured cap or search budget (CLI exit code 2)."""
+
+
+class DepthCapError(CapabilityError):
+    """Graph with more vertices than a search takes positions (CLI exit code 2)."""

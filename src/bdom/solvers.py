@@ -103,6 +103,23 @@ _LEX_MAP_CAP maps are tracked, each from the depth where its first
 undecided comparison f[k] against f[pi[k]] can be read.  `beats_diameter`
 makes no such cut: on trees the automorphism search costs more than the
 nodes it saves.
+
+Gamma on a bipartite graph takes its upper bound from a theorem instead of
+the search.  Cockayne, Favaron, Payan and Thomason ("Contributions to the
+theory of domination, independence and irredundance in graphs", Discrete
+Math. 33, 1981) prove Gamma = beta, the independence number, on bipartite
+graphs, and by König's theorem beta = n - nu, with nu the size of a maximum
+matching (`_bipartite_independence`).  So the set search of a bipartite
+graph opens its window at [beta, beta] instead of [top cap, |E|], with the
+same orbit rounds, caps, maps and cuts; its first find closes the window,
+and no search goes on to prove that no larger set exists.  The witness
+stays the same: the search meets the vectors largest first, and its cuts,
+the orbit rounds and the lex-leader cut need only that the lexicographically
+largest optimum lies in the window, so the first vector of cost beta that
+the search meets is that optimum.  The value then rests on the theorem and
+the witness on the predicate layer, and the report's `nodes` count only the
+search for the witness.  A solve whose rounds find no set of cost beta
+raises instead of answering.
 """
 
 from __future__ import annotations
@@ -121,7 +138,7 @@ from .broadcasts import (
     is_minimal_dominating_broadcast,
     is_minimal_dominating_set,
 )
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, DepthCapError, InputError
 from .graphs import Graph, is_connected, metrics
 
 # search nodes, for all four solvers and beats_diameter
@@ -167,7 +184,7 @@ def _require_searchable(g: Graph) -> None:
     if not is_connected(g):
         raise CapabilityError("solver requires a connected graph")
     if g.n > _DEPTH_CAP:
-        raise CapabilityError(f"search of depth {g.n} exceeds the depth cap ({_DEPTH_CAP})")
+        raise DepthCapError(f"search of depth {g.n} exceeds the depth cap ({_DEPTH_CAP})")
 
 
 def _check_witness(invariant: str, ok: bool) -> None:
@@ -653,13 +670,72 @@ def _automorphisms(g: Graph) -> list[list[int]]:
     return maps
 
 
+def _bipartite_independence(g: Graph) -> int | None:
+    """The independence number of a connected bipartite g, n - nu by
+    König's theorem with nu the size of a maximum matching; None when g has
+    an odd cycle.
+
+    It 2-colours g by BFS from vertex 0, then grows the matching by
+    augmenting paths in phases: each phase searches from every unmatched
+    vertex of colour 0, with one visited mark per vertex for the whole
+    phase, and the matching is maximum after a phase that finds none.  The
+    path search keeps its own stack, so a long path takes no Python frames.
+    """
+    n, adjacency = g.n, g.adjacency
+    colour = [-1] * n
+    colour[0] = 0
+    queue = [0]
+    for v in queue:
+        for w in adjacency[v]:
+            if colour[w] < 0:
+                colour[w] = colour[v] ^ 1
+                queue.append(w)
+            elif colour[w] == colour[v]:
+                return None
+    left = [v for v in range(n) if colour[v] == 0]
+    mate = [-1] * n
+    grew = True
+    while grew:
+        grew = False
+        seen = [False] * n  # vertices of colour 1 this phase has reached
+        for root in left:
+            if mate[root] >= 0:
+                continue
+            # a depth-first search for an alternating path from root that
+            # ends at an unmatched vertex: stack[k] reaches stack[k + 1]
+            # through its neighbor via[k], the vertex matched to stack[k + 1]
+            stack, via, branches = [root], [], [iter(adjacency[root])]
+            while stack:
+                for w in branches[-1]:
+                    if seen[w]:
+                        continue
+                    seen[w] = True
+                    via.append(w)
+                    if mate[w] < 0:
+                        for u, x in zip(stack, via):
+                            mate[u], mate[x] = x, u
+                        stack, grew = [], True
+                    else:
+                        stack.append(mate[w])
+                        branches.append(iter(adjacency[mate[w]]))
+                    break
+                else:
+                    stack.pop()
+                    branches.pop()
+                    if via:
+                        via.pop()
+    return n - sum(mate[v] >= 0 for v in left)
+
+
 def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> InvariantReport:
     """The least or greatest cost of a minimal dominating vector with
     strengths up to top (1: a set), and its lexicographically largest
     witness.
 
     The search meets the vectors largest first, so the witness is the
-    first optimum found, and every find raises lo past its cost.
+    first optimum found, and every find raises lo past its cost.  Gamma on
+    a bipartite graph searches the window [beta, beta] alone (module
+    docstring).
     """
     _require_searchable(g)
     search = _Search(g, top, budget)
@@ -674,7 +750,8 @@ def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> I
         # (a peripheral vertex attains the diameter); a lone vertex has no
         # edge but forms the set {v}
         top_cap = max(search.tops)
-        window = [top_cap, max(g.edge_count(), 1)]
+        beta = _bipartite_independence(g) if top == 1 else None
+        window = [top_cap, max(g.edge_count(), 1)] if beta is None else [beta, beta]
         rounds = [(None, 0)]
         # positions are labels here, so each automorphism is its own map on
         # positions, and it keeps the caps, which follow the eccentricities
@@ -687,6 +764,11 @@ def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> I
         maps = maps[:_LEX_MAP_CAP]
         for caps, s0 in rounds:
             search.run(window, on_found, caps=caps, s0=s0, maps=maps)
+        if not found:
+            # an explicit raise, not an assert, so that it also runs under -O
+            raise AssertionError(
+                f"{invariant}: no minimal dominating set of the bipartite bound {beta} (n - nu)"
+            )
     else:
         # deepen hi until a round finds something, with one node budget for
         # all rounds; each round found nothing below hi, so its first find

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import formulas
 from .broadcasts import Broadcast
 from .diametrical import Verdict, classify_tree, is_diametrical_exact
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, DepthCapError, InputError
 from .graphs import FAMILIES, Graph, serialize
 from .solvers import (
     DEFAULT_NODE_BUDGET,
@@ -39,9 +39,10 @@ INVARIANT_SOLVERS = {
 def verify_point(family: str, which: str, m: int | None, n: int,
                  budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """One sweep row: the closed form ("n/a" when none covers the point), the
-    exact value ("skipped:budget" past the budget, "n/a" when the solver
-    refuses the point), whether they match, the solver's nodes and the row's
-    wall time in milliseconds."""
+    exact value ("skipped:budget" past the node budget, "skipped:depth" past
+    the search's depth cap, "n/a" when the solver refuses the point),
+    whether they match, the solver's nodes and the row's wall time in
+    milliseconds."""
     row = {
         "family": family,
         "m": "" if m is None else m,
@@ -67,6 +68,8 @@ def verify_point(family: str, which: str, m: int | None, n: int,
             rep = INVARIANT_SOLVERS[which](g, budget)
             row["exact"] = rep.value
             row["nodes"] = rep.nodes
+    except DepthCapError:
+        row["exact"] = "skipped:depth"
     except CapabilityError:
         row["exact"] = "skipped:budget"
     except InputError:  # a point the solver refuses, as a lone vertex for gamma_b

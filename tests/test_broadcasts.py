@@ -127,6 +127,13 @@ def test_minimality_characterizations_agree(g):
         assert is_minimal_dominating_broadcast(g, b) == minimal_via_private_neighbors(g, b)
 
 
+def test_a_broadcaster_lowered_to_zero_hears_nothing():
+    # lowered to 0, vertex 0 no longer hears itself, so P3 is left with
+    # vertex 0 unheard; counted as heard, {0, 2} would not be minimal
+    assert is_minimal_dominating_broadcast(gen_path(3), Broadcast((1, 0, 1)))
+    assert is_minimal_dominating_broadcast(gen_star(3), Broadcast((0, 1, 1, 1)))
+
+
 @given(st.integers(3, 5), st.data())
 @settings(max_examples=25, deadline=None)
 def test_minimality_characterizations_agree_random_trees(n, data):

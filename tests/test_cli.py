@@ -191,16 +191,29 @@ def test_verify_exits_budget_when_points_are_skipped(capsys):
 
 
 def test_verify_budget_exit_outranks_mismatch(capsys):
-    # C3xC4 mismatches within 40 nodes; C4xC4 needs 56 and is skipped
+    # C3xC4 mismatches within 40 nodes; C3xC5 and C4xC5 need 186 and 277
+    # and are skipped, while bipartite C4xC4 takes 16 under the window
+    # [beta, beta]
     code, out, _ = run(
-        capsys, "verify", "--family", "torus", "--which", "Gamma", "--m", "3:4", "--n", "3:4",
+        capsys, "verify", "--family", "torus", "--which", "Gamma", "--m", "3:4", "--n", "4:5",
         "--budget-nodes", "40", "--format", "json",
     )
     rows = json.loads(out)
     assert code == EXIT_BUDGET
     assert [(r["exact"], r["match"]) for r in rows] == [
-        (3, "true"), (6, "false"), ("skipped:budget", ""),
+        (6, "false"), ("skipped:budget", ""), (8, "true"), ("skipped:budget", ""),
     ]
+
+
+def test_verify_names_the_depth_cap_for_points_past_it(capsys):
+    # C5001 is one vertex past the search's depth cap: no node is searched
+    code, out, err = run(
+        capsys, "verify", "--family", "cycle", "--which", "gamma_b", "--n", "5001:5001",
+    )
+    rows = [line.split(",") for line in out.splitlines()]
+    assert code == EXIT_BUDGET
+    assert [row[5] for row in rows] == ["exact", "skipped:depth"] and rows[1][7] == "0"
+    assert err == "capability error: 1 of 1 points skipped past the depth cap\n"
 
 
 def test_verify_grid_diametrical(capsys):
