@@ -7,17 +7,11 @@ the others.
 
 from .broadcasts import (
     Broadcast,
-    broadcast_from_set,
     cost,
-    hearers,
     is_dominating,
     is_dominating_set,
-    is_efficient,
     is_minimal_dominating_broadcast,
     is_minimal_dominating_set,
-    make_broadcast,
-    minimal_via_private_neighbors,
-    private_neighbors,
 )
 from .diametrical import (
     Limb,
@@ -26,7 +20,6 @@ from .diametrical import (
     Violation,
     check_spacing,
     classify_tree,
-    concatenate,
     decompose,
     is_diametrical_exact,
     longest_path,
@@ -38,7 +31,6 @@ from .graphs import (
     Metrics,
     UNREACHABLE,
     build_graph,
-    cartesian_product,
     gen_cycle,
     gen_grid,
     gen_lobster,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError
 from .graphs import Graph, metrics
 
 
@@ -29,48 +29,8 @@ class Broadcast:
         return tuple(v for v, s in enumerate(self.strengths) if s > 0)
 
 
-def make_broadcast(g: Graph, strengths: Iterable[int]) -> Broadcast:
-    """Validated broadcast on `g`.
-
-    The eccentricity bound can only be checked on connected graphs; on a
-    disconnected graph construction succeeds and the domination predicate
-    rejects instead (this keeps the type usable component-wise).
-    """
-    vec = tuple(int(s) for s in strengths)
-    if len(vec) != g.n:
-        raise InputError(f"expected {g.n} strengths, got {len(vec)}")
-    if any(s < 0 for s in vec):
-        raise InputError("strengths must be non-negative")
-    m = metrics(g)
-    if m.connected:
-        for v, s in enumerate(vec):
-            if s > m.ecc[v]:
-                raise InputError(
-                    f"strength {s} at vertex {v} exceeds its eccentricity {m.ecc[v]}"
-                )
-    return Broadcast(vec)
-
-
-def broadcast_from_set(g: Graph, vertices: Iterable[int]) -> Broadcast:
-    """Strength-1 broadcast on the given vertex set."""
-    vec = [0] * g.n
-    for v in vertices:
-        vec[v] = 1
-    return make_broadcast(g, vec)
-
-
 def cost(f: Broadcast) -> int:
     return sum(f.strengths)
-
-
-def hearers(g: Graph, f: Broadcast, v: int) -> frozenset[int]:
-    """Broadcasters that v can hear: {u : f(u) >= d(u, v) > unreachable}."""
-    dist = metrics(g).dist
-    return frozenset(
-        u
-        for u, s in enumerate(f.strengths)
-        if s > 0 and 0 <= dist[u][v] <= s
-    )
 
 
 def _connected_dist(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -85,13 +45,6 @@ def is_dominating(g: Graph, f: Broadcast) -> bool:
     dist = _connected_dist(g)
     support = [(u, s) for u, s in enumerate(f.strengths) if s > 0]
     return all(any(dist[u][v] <= s for u, s in support) for v in range(g.n))
-
-
-def private_neighbors(g: Graph, f: Broadcast, v: int) -> frozenset[int]:
-    """Vertices whose hearer set is exactly {v}."""
-    if f.strengths[v] <= 0:
-        raise InputError(f"vertex {v} is not broadcasting")
-    return frozenset(u for u in range(g.n) if hearers(g, f, u) == {v})
 
 
 def is_minimal_dominating_broadcast(g: Graph, f: Broadcast) -> bool:
@@ -125,46 +78,6 @@ def is_minimal_dominating_broadcast(g: Graph, f: Broadcast) -> bool:
             return False
         prefix |= ball
     return True
-
-
-def _hearer_sets(g: Graph, f: Broadcast) -> list[frozenset[int]]:
-    """Every vertex's hearers, from one pass over the distance table of a
-    connected graph."""
-    dist = _connected_dist(g)
-    support = [(u, s) for u, s in enumerate(f.strengths) if s > 0]
-    return [frozenset(u for u, s in support if dist[u][v] <= s) for v in range(g.n)]
-
-
-def minimal_via_private_neighbors(g: Graph, f: Broadcast) -> bool:
-    """Minimality through the private-neighbor characterization.
-
-    A dominating broadcast is minimal iff every broadcaster v has a private
-    neighbor at distance exactly f(v), or f(v) = 1 and v hears only itself.
-    Kept as an independent implementation; tests assert it agrees with the
-    decrement-based predicate on exhaustively enumerated broadcasts.
-    """
-    heard = _hearer_sets(g, f)
-    if not all(heard):
-        return False
-    dist = metrics(g).dist
-    for v, s in enumerate(f.strengths):
-        if s == 0:
-            continue
-        privates = [u for u, h in enumerate(heard) if h == {v}]
-        if any(dist[v][u] == s for u in privates):
-            continue
-        if s == 1 and v in privates:
-            continue
-        return False
-    return True
-
-
-def is_efficient(g: Graph, f: Broadcast) -> bool:
-    """True iff every vertex hears exactly one broadcaster."""
-    heard = _hearer_sets(g, f)
-    if not all(heard):
-        raise InputError("efficiency is only defined for dominating broadcasts")
-    return all(len(h) == 1 for h in heard)
 
 
 def is_dominating_set(g: Graph, s: Iterable[int]) -> bool:

@@ -22,8 +22,8 @@ such a vertex.  A swap turns the old end into a limb of the same kind at the
 same position, so the other path has the same limbs at the same positions,
 read in the same or the reverse order; both gap tables are symmetric under
 reversal, so it passes too.  Hence a tree that fails on one longest path
-fails on all.  It reads that path off the double sweep of `trees` in three
-BFS, the path starting at a sweep end (see `_longest_path`); `decompose`
+fails on all.  It reads that path off the double sweep of `trees` in two
+BFS, or three when the path starts at b (see `_longest_path`); `decompose`
 checks a caller's path against the diameter from the sweep's first two.
 
 The exact oracle `is_diametrical_exact` refutes the rule in both directions,
@@ -54,9 +54,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph, LobsterSpec, build_graph, gen_lobster
+from .graphs import Graph, LobsterSpec, bfs_distances, gen_lobster
 from .solvers import DEFAULT_NODE_BUDGET, beats_diameter
-from .trees import _distances_from_end, _double_sweep, canonical_form
+from .trees import _distances_from_end, canonical_form
 
 PAIR_MIN_GAP = {
     ("A", "A"): 4,
@@ -147,7 +147,7 @@ class Verdict:
         }
 
 
-def _longest_path(t: Graph, from_a: list[int], from_b: list[int]) -> tuple[int, ...]:
+def _longest_path(t: Graph, from_a: list[int]) -> tuple[int, ...]:
     """The path from the least-index peripheral vertex u to the least index v
     at distance diam from u (v > u, or v would be the peripheral one).
 
@@ -155,19 +155,26 @@ def _longest_path(t: Graph, from_a: list[int], from_b: list[int]) -> tuple[int, 
     peripheral vertices are diam apart exactly when they lie in different
     parts.  Those of a part without 0 are all as far from 0, and farther than
     any vertex of the part of 0, so a is the least peripheral vertex of its
-    part, and b the least of the other parts."""
+    part, and b the least of the other parts.  Only when b < a does the path
+    need the sweep's third BFS, the one from b.  The walk goes back from v
+    to u, one step down the distances from u at a time."""
     d, a = max(from_a), from_a.index(0)
-    dist = from_a if a < from_a.index(d) else from_b
+    b = from_a.index(d)
+    dist = from_a if a < b else bfs_distances(t, b)
+    adj = t.adjacency
     path = [dist.index(d)]
     for k in range(d - 1, -1, -1):
-        path.append(next(w for w in t.adjacency[path[-1]] if dist[w] == k))
+        for w in adj[path[-1]]:
+            if dist[w] == k:
+                break
+        path.append(w)
     return tuple(reversed(path))
 
 
 def longest_path(t: Graph) -> tuple[int, ...]:
     """The first longest path of a tree in endpoint order, from the double
     sweep alone, with no all-pairs table."""
-    return _longest_path(t, *_double_sweep(t, "longest_path requires a tree"))
+    return _longest_path(t, _distances_from_end(t, "longest_path requires a tree"))
 
 
 def _validate_diametrical_path(t: Graph, path, diameter: int) -> tuple[int, ...]:
@@ -200,16 +207,17 @@ def decompose(t: Graph, path) -> LimbDecomposition | Violation:
 
 def _decompose(t: Graph, path: tuple[int, ...]) -> LimbDecomposition | Violation:
     """`decompose` on a path known to be a longest path of the tree t."""
-    on_spine = set(path)
     adj = t.adjacency
     limbs: list[Limb] = []
     limb_vertices: list[tuple[int, ...]] = []
     for i, v in enumerate(path):
-        roots = [u for u in adj[v] if u not in on_spine]
-        if not roots:
+        # the ends of a longest path are leaves, and an interior vertex of
+        # degree 2 has no neighbour off the spine
+        if len(adj[v]) <= 2:
             continue
-        # a longest path cannot have protrusions at its endpoints
         assert 0 < i < len(path) - 1
+        spine = (path[i - 1], path[i + 1])
+        roots = [u for u in adj[v] if u not in spine]
         children = [w for r in roots for w in adj[r] if w != v]
         if any(len(adj[w]) > 1 for w in children):
             return Violation(LIMB_TOO_DEEP, at=i)
@@ -246,10 +254,10 @@ def classify_tree(t: Graph) -> Verdict:
     The rule is neither sufficient nor necessary for diametricality;
     `is_diametrical_exact` decides it exactly.
     """
-    sweep = _double_sweep(t, "classify_tree requires a tree")
+    from_a = _distances_from_end(t, "classify_tree requires a tree")
     if t.n == 1:
         return Verdict(False, reason=Violation(SINGLE_VERTEX))
-    dec = _decompose(t, _longest_path(t, *sweep))
+    dec = _decompose(t, _longest_path(t, from_a))
     if isinstance(dec, Violation):
         return Verdict(False, reason=dec)
     d = dec.diameter()
@@ -265,18 +273,6 @@ def witness_matches(t: Graph, dec: LimbDecomposition) -> bool:
     """Whether the lobster rebuilt from dec is isomorphic to t."""
     spec = LobsterSpec(dec.diameter(), tuple((l.attach, l.kind) for l in dec.limbs))
     return canonical_form(gen_lobster(spec)) == canonical_form(t)
-
-
-def concatenate(t1: Graph, d1, t2: Graph, d2) -> Graph:
-    """Glue two trees by identifying the end of one longest path with the
-    start of another; the result is a tree of diameter len(d1) + len(d2) - 2."""
-    diam1, diam2 = (max(_distances_from_end(t, "concatenate requires trees")) for t in (t1, t2))
-    d1 = _validate_diametrical_path(t1, d1, diam1)
-    d2 = _validate_diametrical_path(t2, d2, diam2)
-    rest = [w for w in range(t2.n) if w != d2[0]]  # numbered after t1's vertices
-    mapping = {d2[0]: d1[-1], **{w: t1.n + i for i, w in enumerate(rest)}}
-    edges = t1.edges() + [(mapping[a], mapping[b]) for a, b in t2.edges()]
-    return build_graph(t1.n + len(rest), edges)
 
 
 def is_diametrical_exact(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:

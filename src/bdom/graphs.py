@@ -7,7 +7,6 @@ row-major: the vertex in row i, column j (both 0-based) gets index i*n + j.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -33,7 +32,7 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     @cached_property
     def _metrics(self) -> Metrics:
@@ -83,12 +82,13 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distance from `source` to every vertex (UNREACHABLE if none)."""
     dist = [UNREACHABLE] * g.n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
+    adjacency = g.adjacency
+    queue = [source]  # grows as the walk reads it, so it is never popped
+    for u in queue:
+        d = dist[u] + 1
+        for w in adjacency[u]:
             if dist[w] == UNREACHABLE:
-                dist[w] = dist[u] + 1
+                dist[w] = d
                 queue.append(w)
     return dist
 
@@ -100,19 +100,6 @@ def metrics(g: Graph) -> Metrics:
 
 def is_connected(g: Graph) -> bool:
     return UNREACHABLE not in bfs_distances(g, 0)
-
-
-def cartesian_product(g1: Graph, g2: Graph) -> Graph:
-    """Cartesian product; vertex (a, b) maps to index a*g2.n + b."""
-    n1, n2 = g1.n, g2.n
-    edges = []
-    for a in range(n1):
-        for b, b2 in ((b, b2) for b in range(n2) for b2 in g2.adjacency[b] if b < b2):
-            edges.append((a * n2 + b, a * n2 + b2))
-    for a, a2 in ((a, a2) for a in range(n1) for a2 in g1.adjacency[a] if a < a2):
-        for b in range(n2):
-            edges.append((a * n2 + b, a2 * n2 + b))
-    return build_graph(n1 * n2, edges)
 
 
 def gen_path(k: int) -> Graph:
@@ -133,14 +120,18 @@ def gen_grid(m: int, n: int) -> Graph:
     """m-by-n grid (path product), row-major labels."""
     if m < 1 or n < 1:
         raise InputError(f"grid dimensions must be positive, got {m}x{n}")
-    return cartesian_product(gen_path(m), gen_path(n))
+    edges = [(i * n + j, i * n + j + 1) for i in range(m) for j in range(n - 1)]
+    edges += [(i * n + j, (i + 1) * n + j) for i in range(m - 1) for j in range(n)]
+    return build_graph(m * n, edges)
 
 
 def gen_torus(m: int, n: int) -> Graph:
     """m-by-n toroidal grid (cycle product), row-major labels."""
     if m < 3 or n < 3:
         raise InputError(f"torus rows/columns must have length >= 3, got {m}x{n}")
-    return cartesian_product(gen_cycle(m), gen_cycle(n))
+    edges = [(i * n + j, i * n + (j + 1) % n) for i in range(m) for j in range(n)]
+    edges += [(i * n + j, (i + 1) % m * n + j) for i in range(m) for j in range(n)]
+    return build_graph(m * n, edges)
 
 
 def gen_star(k: int) -> Graph:

@@ -22,7 +22,14 @@ caller may narrow as results come in, and it cuts a subtree when
 * hearing the unheard set U cannot fit under hi: with rho = max |ball(v, s)|
   / s over all vertices v and strengths s from 1 to v's cap, which the orbit
   rounds below only lower, a broadcaster of strength s hears at most rho * s
-  vertices, so U costs at least |U| / rho;
+  vertices, so U costs at least |U| / rho.  `beats_diameter` skips this cut
+  on trees, where it never fires: each broadcaster placed so far keeps a
+  private spot, so by the private-geodesic lemma below their geodesics share
+  no edge, and they lie in the forest H of the heard vertices.  So the cost
+  so far is at most |H| - 1 = n - 1 - |U| once a broadcaster is placed, and
+  0 before; the window ends at hi = |E| = n - 1, so hi - total >= |U| in the
+  first case, and hi - total = n - 1 >= |U| / 2 in the second.  As rho >= 2,
+  |U| / rho never exceeds hi - total;
 * (`beats_diameter` alone, the private-neighbor lookahead) the broadcaster v
   just placed can keep no private neighbor: let q be its private-neighbor
   spots still heard only by v.  A later vertex p hears an unheard vertex u
@@ -237,12 +244,34 @@ class _Spans:
         return row
 
 
+def _cover_ratio(dist, order: tuple[int, ...], tops: tuple[int, ...]) -> tuple[int, int]:
+    """The largest |ball(v, s)| / s over the positions' vertices v and their
+    strengths s from 1 to their tops, as (num, den)."""
+    n = len(order)
+    num, den = 0, 1
+    for v, cap in zip(order, tops):
+        ball = sorted(dist[v])  # |ball(v, s)| = bisect_right(ball, s)
+        s = 1
+        while s <= cap:
+            size = bisect.bisect_right(ball, s)
+            if size * den > num * s:
+                num, den = size, s
+            # a larger radius r beats num / den only with over
+            # num * r / den >= k vertices, so only from ball[k] on
+            k = num * (s + 1) // den
+            if k >= n:
+                break
+            s = ball[k]
+    return num, den
+
+
 class _Search:
     """One solve's search of g: position i is vertex order[i] (label order
     when None), with strengths up to tops[i] = min(ecc, top), at least 1.
     top = 1 searches vertex sets, and top = n broadcasts; a lone vertex still
     forms the set {v}.  `nodes` counts the nodes of every `run` against one
-    `budget`.
+    `budget`.  With `ratio` false it makes no cover-ratio cut and skips
+    computing rho.
 
     rows[i] = (ball, cand) for the strengths 0..tops[i] of v = order[i], or
     None until a run first reaches position i: ball[s] holds the vertices
@@ -250,27 +279,16 @@ class _Search:
     strength s at v may keep its private neighbor, as bit masks over the
     graph's own labels."""
 
-    def __init__(self, g: Graph, top: int, budget: int, order: tuple[int, ...] | None = None):
+    def __init__(self, g: Graph, top: int, budget: int, order: tuple[int, ...] | None = None,
+                 ratio: bool = True):
         m = metrics(g)
         n = self.n = g.n
         self.g, self.dist, self.ecc = g, m.dist, m.ecc
         self.order = order = tuple(range(n)) if order is None else order
         self.tops = tops = tuple(min(max(m.ecc[v], 1), top) for v in order)
-        num, den = 0, 1  # largest |ball(v, s)| / s
-        for v, cap in zip(order, tops):
-            ball = sorted(m.dist[v])  # |ball(v, s)| = bisect_right(ball, s)
-            s = 1
-            while s <= cap:
-                size = bisect.bisect_right(ball, s)
-                if size * den > num * s:
-                    num, den = size, s
-                # a larger radius r beats num / den only with over
-                # num * r / den >= k vertices, so only from ball[k] on
-                k = num * (s + 1) // den
-                if k >= n:
-                    break
-                s = ball[k]
-        self.cover_ratio = (num, den)  # max |ball(v, s)| / s, 1 <= s <= top of v
+        # max |ball(v, s)| / s, 1 <= s <= top of v; without the ratio it is
+        # 1 / 0, and the cover-ratio cut never fires
+        self.cover_ratio = _cover_ratio(m.dist, order, tops) if ratio else (1, 0)
         self.rows: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * n
         self.spans: _Spans | None = None  # for the private-geodesic bound, on trees
         self.nodes, self.budget = 0, budget
@@ -845,7 +863,10 @@ def beats_diameter(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Broadcast | N
     m = metrics(g)
     far = m.dist[m.ecc.index(m.diameter)]
     order = tuple(sorted(range(g.n), key=far.__getitem__))  # stable: ties by label
-    search = _Search(g, _broadcast_top(g), budget, order)
+    # on a tree, whose window ends at |E|, the cover-ratio cut never fires
+    # (module docstring)
+    tree = g.edge_count() == g.n - 1
+    search = _Search(g, _broadcast_top(g), budget, order, ratio=not tree)
     window = [m.diameter + 1, g.edge_count()]
     found: list = []
 

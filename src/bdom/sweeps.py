@@ -42,7 +42,9 @@ def verify_point(family: str, which: str, m: int | None, n: int,
     exact value ("skipped:budget" past the node budget, "skipped:depth" past
     the search's depth cap, "n/a" when the solver refuses the point),
     whether they match, the solver's nodes and the row's wall time in
-    milliseconds."""
+    milliseconds.  A point skipped past the budget searched budget + 1
+    nodes, since every search raises at the first node past it; one skipped
+    past the depth cap, or refused, searched none."""
     row = {
         "family": family,
         "m": "" if m is None else m,
@@ -72,6 +74,7 @@ def verify_point(family: str, which: str, m: int | None, n: int,
         row["exact"] = "skipped:depth"
     except CapabilityError:
         row["exact"] = "skipped:budget"
+        row["nodes"] = budget + 1
     except InputError:  # a point the solver refuses, as a lone vertex for gamma_b
         row["exact"] = "n/a"
     if isinstance(row["closed_form"], int) and isinstance(row["exact"], int):

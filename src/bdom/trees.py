@@ -4,7 +4,10 @@ A tree needs no all-pairs distance table.  One double sweep answers every
 tree question: the BFS from 0 tests that the graph is a tree and finds a,
 the least-labelled vertex farthest from 0, the BFS from a finds b, the least
 farthest from a, and the BFS from b ends it.  Every vertex is farthest from
-a or from b, so the larger of its two distances is its eccentricity.
+a or from b, so the larger of its two distances is its eccentricity.  A
+question that needs no eccentricity stops early: the first longest path
+(`diametrical.longest_path`, read by `classify_tree`) takes two BFS, or
+three when it starts at b, and a check against the diameter takes two.
 
 Exhaustive generation walks the canonical level sequences of rooted trees
 (the Beyer-Hedetniemi successor rule, which rewrites the tail of the

@@ -17,20 +17,24 @@ import time
 
 import pytest
 
-from conftest import all_strength_vectors, brute_minimal_dominating_sets
+from conftest import (
+    all_strength_vectors,
+    brute_minimal_dominating_sets,
+    concatenate,
+    is_efficient,
+    minimal_via_private_neighbors,
+)
 
 from bdom.broadcasts import (
     Broadcast,
     cost,
     is_minimal_dominating_broadcast,
     is_minimal_dominating_set,
-    minimal_via_private_neighbors,
 )
 from bdom.diametrical import (
     SPACING_VIOLATION,
     check_spacing,
     classify_tree,
-    concatenate,
     is_diametrical_exact,
     longest_path,
     witness_matches,
@@ -416,8 +420,6 @@ def test_criterion_7_named_instances():
     checks.append(("fig Gamma", solve_upper_gamma(FIG_GRAPH).value == 3))
 
     named = [Broadcast((1, 0, 1, 0, 0)), Broadcast((3, 0, 0, 0, 0)), Broadcast((1, 0, 0, 1, 1))]
-    from bdom.broadcasts import is_efficient
-
     checks.append(
         ("three broadcasts minimal",
          all(is_minimal_dominating_broadcast(FIG_GRAPH, b) for b in named))

@@ -4,21 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_strength_vectors, brute_minimal_broadcasts
-
-from bdom.broadcasts import (
-    Broadcast,
+from conftest import (
+    all_strength_vectors,
     broadcast_from_set,
-    cost,
+    brute_minimal_broadcasts,
     hearers,
-    is_dominating,
-    is_dominating_set,
     is_efficient,
-    is_minimal_dominating_broadcast,
-    is_minimal_dominating_set,
     make_broadcast,
     minimal_via_private_neighbors,
     private_neighbors,
+)
+
+from bdom.broadcasts import (
+    Broadcast,
+    cost,
+    is_dominating,
+    is_dominating_set,
+    is_minimal_dominating_broadcast,
+    is_minimal_dominating_set,
 )
 from bdom.errors import CapabilityError, InputError
 from bdom.graphs import build_graph, gen_cycle, gen_grid, gen_path, gen_star, metrics

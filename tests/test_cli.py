@@ -205,6 +205,17 @@ def test_verify_budget_exit_outranks_mismatch(capsys):
     ]
 
 
+def test_verify_reports_the_nodes_of_points_skipped_past_the_budget(capsys):
+    # a search raises at its first node past the budget, so a skipped point
+    # searched budget + 1 nodes
+    _, out, _ = run(
+        capsys, "verify", "--family", "torus", "--which", "Gamma", "--m", "3:4", "--n", "4:5",
+        "--budget-nodes", "40", "--format", "json",
+    )
+    nodes = {(r["m"], r["n"]): r["nodes"] for r in json.loads(out)}
+    assert nodes[(3, 5)] == nodes[(4, 5)] == 41
+
+
 def test_verify_names_the_depth_cap_for_points_past_it(capsys):
     # C5001 is one vertex past the search's depth cap: no node is searched
     code, out, err = run(

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from conftest import reference_centers, reference_classify, reference_longest_paths, reference_rule
+from conftest import (
+    concatenate,
+    reference_centers,
+    reference_classify,
+    reference_longest_paths,
+    reference_rule,
+)
+
 from bdom import diametrical, graphs, trees
 from bdom.diametrical import (
     ILLEGAL_LIMB_SHAPE,
@@ -15,7 +22,6 @@ from bdom.diametrical import (
     Violation,
     check_spacing,
     classify_tree,
-    concatenate,
     decompose,
     is_diametrical_exact,
     longest_path,
@@ -469,6 +475,12 @@ def test_least_peripheral_vertex_is_a_sweep_end():
 def test_tree_questions_equal_references_on_large_trees():
     trees_ = [_spider(k) for k in range(20, 61, 8)] + [gen_path(k) for k in (2, 3, 150, 400)]
     trees_ += list(_random_lobsters(40, 20, spine_below=240))  # up to ~400 vertices
+    # both sweep ends start the path, and the spines hold runs of degree 2
+    rng = random.Random(27)
+    for _ in range(30):
+        t = random_tree(rng.randrange(2, 401), rng)
+        perm = rng.sample(range(t.n), t.n)
+        trees_.append(build_graph(t.n, [(perm[u], perm[v]) for u, v in t.edges()]))
     for t in trees_:
         assert longest_path(t) == reference_longest_paths(t)[0], t.edges()
         assert tree_centers(t) == reference_centers(t), t.edges()
@@ -492,12 +504,18 @@ def test_tree_questions_bfs_counts(monkeypatch):
     rng = random.Random(3)
     shuffled = rng.sample(range(300), 300)
     relabelled = build_graph(300, [(shuffled[u], shuffled[v]) for u, v in random_tree(300, rng).edges()])
-    for t in (gen_path(1500), _spider(40), relabelled):
+    # the path 1-0-2 has a = 1 < b = 2, so its longest path starts at a and
+    # needs no BFS from b; the path 0-1-2 has a = 2 > b = 0, and it does
+    starts = []
+    for t in (build_graph(3, [(0, 1), (0, 2)]), gen_path(3), gen_path(1500), _spider(40), relabelled):
+        a, b, _ = _sweep_ends_and_u(t)
+        starts.append("a" if a < b else "b")
         path = longest_path(t)
-        for question, most in (
+        sweep = 2 if a < b else 3
+        for question, count in (
             (is_tree, 1),
-            (classify_tree, 3),
-            (longest_path, 3),
+            (classify_tree, sweep),
+            (longest_path, sweep),
             (lambda t: decompose(t, path), 2),
             (tree_centers, 3),
             (canonical_form, 3),
@@ -505,7 +523,8 @@ def test_tree_questions_bfs_counts(monkeypatch):
         ):
             calls.clear()
             question(t)
-            assert len(calls) <= most, (t.n, question)
+            assert len(calls) == count, (t.n, question)
+    assert starts[:4] == ["a", "b", "b", "a"]
 
 
 NON_TREES = {

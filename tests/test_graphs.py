@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cartesian_product
+
 from bdom.errors import InputError
 from bdom.graphs import (
     LobsterSpec,
     UNREACHABLE,
     build_graph,
-    cartesian_product,
     gen_cycle,
     gen_grid,
     gen_lobster,
@@ -119,8 +120,13 @@ def test_product_diameter_additive_all_small_families():
 
 
 def test_generators_match_products():
-    assert gen_torus(3, 3) == cartesian_product(gen_cycle(3), gen_cycle(3))
-    assert gen_grid(2, 2) == cartesian_product(gen_path(2), gen_path(2))
+    # grids and tori are built edge by edge, so check them against the
+    # product, square and not, with the row-major labels
+    for m in range(1, 6):
+        for n in range(1, 6):
+            assert gen_grid(m, n) == cartesian_product(gen_path(m), gen_path(n)), (m, n)
+            if m >= 3 and n >= 3:
+                assert gen_torus(m, n) == cartesian_product(gen_cycle(m), gen_cycle(n)), (m, n)
 
 
 def test_star():

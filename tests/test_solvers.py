@@ -10,13 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_minimal_broadcasts, brute_minimal_dominating_sets, enumerate_minimal_broadcasts
+from conftest import (
+    brute_minimal_broadcasts,
+    brute_minimal_dominating_sets,
+    cartesian_product,
+    enumerate_minimal_broadcasts,
+    hearers,
+)
 
 from bdom import solvers
 from bdom.broadcasts import (
     Broadcast,
     cost,
-    hearers,
     is_minimal_dominating_broadcast,
     is_minimal_dominating_set,
 )
@@ -24,7 +29,6 @@ from bdom.errors import CapabilityError, InputError
 from bdom.graphs import (
     LobsterSpec,
     build_graph,
-    cartesian_product,
     gen_cycle,
     gen_grid,
     gen_lobster,
@@ -829,6 +833,25 @@ def test_private_geodesic_bound_keeps_every_oracle_answer(monkeypatch):
         on_total += on_nodes
         off_total += off_nodes
     assert on_total * 5 <= off_total * 3
+
+
+def test_oracle_on_trees_gains_nothing_from_the_cover_ratio(monkeypatch):
+    # on a tree hi - total >= |U| at every node (module docstring), so the
+    # cover-ratio cut that beats_diameter skips there would cut nothing: the
+    # same broadcasts from the same nodes, with rho computed or not
+    ratios = []
+
+    class WithRatio(solvers._Search):
+        def __init__(self, *args, ratio):
+            super().__init__(*args)
+            ratios.append(self.cover_ratio)
+
+    for t in lookahead_corpus():
+        skipped = oracle_search(t, monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_Search", WithRatio)
+            assert oracle_search(t, monkeypatch) == skipped, t.edges()
+    assert all(num >= 2 * den > 0 for num, den in ratios)
 
 
 def test_private_geodesic_bound_counts_self_private_edges():
