@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: invariant, verify, classify, enumerate-check, generate.
-Exit codes: 0 success, 1 input error, 2 budget/capability error,
+Exit codes: 0 success, 1 input or usage error, 2 budget/capability error,
 3 verification mismatch.  All output is deterministic for a fixed config and
 seed, except the `millis` timing column of verify reports.
 """
@@ -125,10 +125,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_invariant(args) -> int:
     budget = budget_from_args(args)
-    if bool(args.family) == bool(args.graph):
-        raise InputError("exactly one of --family / --graph is required")
     family = m = n = None
-    if args.family:
+    if args.family is not None:
         family, m, n, g = parse_family(args.family)
     else:
         g = _load_graph(args.graph)
@@ -270,8 +268,16 @@ def cmd_generate(args) -> int:
 # --- wiring ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors, its subcommands' too, are input errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bdom",
         description="Domination and broadcast-domination invariants of finite graphs.",
     )
@@ -282,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"search node cap (env {BUDGET_ENV_VAR})")
 
     p = sub.add_parser("invariant", help="compute one invariant of one graph")
-    p.add_argument("--family", help="family spec, e.g. torus:3,4 or cycle:8")
-    p.add_argument("--graph", help="edge-list (or .json) graph file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", help="family spec, e.g. torus:3,4 or cycle:8")
+    source.add_argument("--graph", help="edge-list (or .json) graph file")
     p.add_argument("--which", required=True, choices=sorted(INVARIANT_SOLVERS))
     p.add_argument("--method", default="exact", choices=["exact", "closed-form", "both"])
     p.add_argument("--output")
@@ -332,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _refuse_unwritable(getattr(args, "output", None), getattr(args, "dump_dir", None))
         return args.func(args)
     except InputError as exc:

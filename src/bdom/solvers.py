@@ -22,14 +22,14 @@ caller may narrow as results come in, and it cuts a subtree when
 * hearing the unheard set U cannot fit under hi: with rho = max |ball(v, s)|
   / s over all vertices v and strengths s from 1 to v's cap, which the orbit
   rounds below only lower, a broadcaster of strength s hears at most rho * s
-  vertices, so U costs at least |U| / rho.  `beats_diameter` skips this cut
-  on trees, where it never fires: each broadcaster placed so far keeps a
-  private spot, so by the private-geodesic lemma below their geodesics share
-  no edge, and they lie in the forest H of the heard vertices.  So the cost
-  so far is at most |H| - 1 = n - 1 - |U| once a broadcaster is placed, and
-  0 before; the window ends at hi = |E| = n - 1, so hi - total >= |U| in the
-  first case, and hi - total = n - 1 >= |U| / 2 in the second.  As rho >= 2,
-  |U| / rho never exceeds hi - total;
+  vertices, so U costs at least |U| / rho.  It cannot fire once hi >= |E|:
+  the broadcasters placed so far each keep a private spot, so by the
+  private-geodesic lemma below, whose proof holds on any graph, their
+  geodesics share no edge, and each of their edges has both ends heard.  So
+  hi - total is at least the number of edges that meet U, which is at least
+  |U| / 2, and rho >= 2 when n >= 2 (a lone vertex has hi = 1 = rho).  So
+  `run` reads rho only when hi < |E|: in the minimum's deepening and in the
+  bipartite Gamma window;
 * (`beats_diameter` alone, the private-neighbor lookahead) the broadcaster v
   just placed can keep no private neighbor: let q be its private-neighbor
   spots still heard only by v.  A later vertex p hears an unheard vertex u
@@ -61,12 +61,13 @@ caller may narrow as results come in, and it cuts a subtree when
   each position's masks are built on its first visit.
 
 Each solve builds one `_Search`, which holds the search order, each
-position's top strength, rho, the ball rows, built on a run's first visit,
-and the node count against the budget.  Each round of the solve (the
-minimum's deepening, the orbit rounds below) is one `run`, which builds the
-suffix tables once per caps.  `run` takes one Python frame per position and
-raises the recursion limit by n while it runs; a graph of more than
-_DEPTH_CAP vertices is refused before its distance table is built.
+position's top strength, the ball rows, built on a run's first visit, rho,
+built by the first run whose window ends below |E|, and the node count
+against the budget.  Each round of the solve (the minimum's deepening, the
+orbit rounds below) is one `run`, which builds the suffix tables once per
+caps.  `run` takes one Python frame per position and raises the recursion
+limit by n while it runs; a graph of more than _DEPTH_CAP vertices is
+refused before its distance table is built.
 
 No minimal dominating broadcast costs more than the edge count, which caps
 hi.  Every search tries each vertex's strengths from the top down, with 0
@@ -136,6 +137,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -244,34 +246,11 @@ class _Spans:
         return row
 
 
-def _cover_ratio(dist, order: tuple[int, ...], tops: tuple[int, ...]) -> tuple[int, int]:
-    """The largest |ball(v, s)| / s over the positions' vertices v and their
-    strengths s from 1 to their tops, as (num, den)."""
-    n = len(order)
-    num, den = 0, 1
-    for v, cap in zip(order, tops):
-        ball = sorted(dist[v])  # |ball(v, s)| = bisect_right(ball, s)
-        s = 1
-        while s <= cap:
-            size = bisect.bisect_right(ball, s)
-            if size * den > num * s:
-                num, den = size, s
-            # a larger radius r beats num / den only with over
-            # num * r / den >= k vertices, so only from ball[k] on
-            k = num * (s + 1) // den
-            if k >= n:
-                break
-            s = ball[k]
-    return num, den
-
-
 class _Search:
     """One solve's search of g: position i is vertex order[i] (label order
     when None), with strengths up to tops[i] = min(ecc, top), at least 1.
     top = 1 searches vertex sets, and top = n broadcasts; a lone vertex still
-    forms the set {v}.  `nodes` counts the nodes of every `run` against one
-    `budget`.  With `ratio` false it makes no cover-ratio cut and skips
-    computing rho.
+    forms the set {v}.  `nodes` counts the nodes of every `run` against one `budget`.
 
     rows[i] = (ball, cand) for the strengths 0..tops[i] of v = order[i], or
     None until a run first reaches position i: ball[s] holds the vertices
@@ -279,20 +258,36 @@ class _Search:
     strength s at v may keep its private neighbor, as bit masks over the
     graph's own labels."""
 
-    def __init__(self, g: Graph, top: int, budget: int, order: tuple[int, ...] | None = None,
-                 ratio: bool = True):
+    def __init__(self, g: Graph, top: int, budget: int, order: tuple[int, ...] | None = None):
         m = metrics(g)
         n = self.n = g.n
-        self.g, self.dist, self.ecc = g, m.dist, m.ecc
+        self.g, self.dist, self.ecc, self.edges = g, m.dist, m.ecc, g.edge_count()
         self.order = order = tuple(range(n)) if order is None else order
-        self.tops = tops = tuple(min(max(m.ecc[v], 1), top) for v in order)
-        # max |ball(v, s)| / s, 1 <= s <= top of v; without the ratio it is
-        # 1 / 0, and the cover-ratio cut never fires
-        self.cover_ratio = _cover_ratio(m.dist, order, tops) if ratio else (1, 0)
+        self.tops = tuple(min(max(m.ecc[v], 1), top) for v in order)
         self.rows: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * n
         self.spans: _Spans | None = None  # for the private-geodesic bound, on trees
         self.nodes, self.budget = 0, budget
         self.suffixes: dict[tuple[int, ...], tuple] = {}  # caps -> suffix tables
+
+    @cached_property
+    def cover_ratio(self) -> tuple[int, int]:
+        """rho, the largest |ball(v, s)| / s over the positions' vertices v and
+        their strengths s from 1 to their tops, as (num, den)."""
+        num, den = 0, 1
+        for v, cap in zip(self.order, self.tops):
+            ball = sorted(self.dist[v])  # |ball(v, s)| = bisect_right(ball, s)
+            s = 1
+            while s <= cap:
+                size = bisect.bisect_right(ball, s)
+                if size * den > num * s:
+                    num, den = size, s
+                # a larger radius r beats num / den only with over
+                # num * r / den >= k vertices, so only from ball[k] on
+                k = num * (s + 1) // den
+                if k >= self.n:
+                    break
+                s = ball[k]
+        return num, den
 
     def build_row(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         v = self.order[i]
@@ -365,7 +360,8 @@ class _Search:
         support: list[int] = []  # private-neighbor spots of the broadcasters so far
         rows = self.rows
         build_row = self.build_row
-        cover_num, cover_den = self.cover_ratio
+        # the cover-ratio cut can fire only when hi < |E| (module docstring); 1 / 0 never does
+        cover_num, cover_den = self.cover_ratio if window[1] < self.edges else (1, 0)
         count = self.nodes
         node_cap = self.budget
         covers: dict[tuple[int, int], int] = {}
@@ -769,7 +765,7 @@ def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> I
         # edge but forms the set {v}
         top_cap = max(search.tops)
         beta = _bipartite_independence(g) if top == 1 else None
-        window = [top_cap, max(g.edge_count(), 1)] if beta is None else [beta, beta]
+        window = [top_cap, max(search.edges, 1)] if beta is None else [beta, beta]
         rounds = [(None, 0)]
         # positions are labels here, so each automorphism is its own map on
         # positions, and it keeps the caps, which follow the eccentricities
@@ -791,9 +787,8 @@ def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> I
         # deepen hi until a round finds something, with one node budget for
         # all rounds; each round found nothing below hi, so its first find
         # closes it
-        window = [0, 0]
         for hi in range(1, sum(search.tops) + 1):
-            window[:] = [0, hi]
+            window = [0, hi]
             search.run(window, on_found)
             if found:
                 break
@@ -803,9 +798,8 @@ def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> I
         _check_witness(invariant, is_minimal_dominating_set(g, members) and len(members) == value)
         return InvariantReport(invariant, value, "exact", witness_set=members, nodes=search.nodes)
     witness = Broadcast(vec)
-    _check_witness(
-        invariant, is_minimal_dominating_broadcast(g, witness) and cost(witness) == value
-    )
+    ok = is_minimal_dominating_broadcast(g, witness) and cost(witness) == value
+    _check_witness(invariant, ok)
     return InvariantReport(invariant, value, "exact", witness_broadcast=witness, nodes=search.nodes)
 
 
@@ -863,11 +857,10 @@ def beats_diameter(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Broadcast | N
     m = metrics(g)
     far = m.dist[m.ecc.index(m.diameter)]
     order = tuple(sorted(range(g.n), key=far.__getitem__))  # stable: ties by label
-    # on a tree, whose window ends at |E|, the cover-ratio cut never fires
-    # (module docstring)
-    tree = g.edge_count() == g.n - 1
-    search = _Search(g, _broadcast_top(g), budget, order, ratio=not tree)
-    window = [m.diameter + 1, g.edge_count()]
+    search = _Search(g, _broadcast_top(g), budget, order)
+    # the window ends at |E|, where the cover-ratio cut never fires, so the
+    # run computes no rho (module docstring)
+    window = [m.diameter + 1, search.edges]
     found: list = []
 
     def on_found(_c, vec):
@@ -881,8 +874,6 @@ def beats_diameter(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Broadcast | N
     for v, s in zip(order, found[-1]):
         strengths[v] = s
     witness = Broadcast(tuple(strengths))
-    _check_witness(
-        "beats_diameter",
-        is_minimal_dominating_broadcast(g, witness) and cost(witness) > m.diameter,
-    )
+    ok = is_minimal_dominating_broadcast(g, witness) and cost(witness) > m.diameter
+    _check_witness("beats_diameter", ok)
     return witness

@@ -140,6 +140,9 @@ def test_invariant_bad_family(capsys):
     code, out, err = run(capsys, "invariant", "--family", "cycle:2", "--which", "gamma")
     assert code == EXIT_INPUT and out == ""
     assert err == "error: cycle needs at least 3 vertices, got 2\n"
+    # an empty spec is still a spec, not a missing one
+    code, out, err = run(capsys, "invariant", "--family", "", "--which", "gamma")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: malformed family spec ''\n")
 
 
 def test_verify_cycles(tmp_path, capsys):
@@ -548,6 +551,31 @@ def test_verify_jobs_not_positive(capsys, jobs):
         capsys, "verify", "--family", "cycle", "--which", "Gamma_b", "--n", "3:4", "--jobs", jobs,
     )
     assert code == EXIT_INPUT and "--jobs" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify --family path --which gamma --n 3:4", "argument --family: invalid choice: 'path'"),
+    ("invariant --family cycle:5", "the following arguments are required: --which"),
+    ("invariant --which gamma", "one of the arguments --family --graph is required"),
+    ("invariant --which gamma --family cycle:5 --graph g.txt",
+     "argument --graph: not allowed with argument --family"),
+    ("enumerate-check --max-n x", "argument --max-n: invalid int value: 'x'"),
+    ("", "the following arguments are required: command"),
+])
+def test_usage_errors_are_input_errors(capsys, argv, message):
+    # argparse's own errors end as every input error does: the usage on
+    # stderr, then one `error:` line, and exit 1 (exit 2 is the budget's)
+    code, out, err = run(capsys, *argv.split())
+    assert code == EXIT_INPUT and out == ""
+    *usage, last = err.splitlines()
+    assert usage[0].startswith("usage: bdom") and last.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and "usage: bdom" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, expected", [

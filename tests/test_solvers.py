@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -677,12 +678,14 @@ def test_a_bipartite_bound_past_gamma_raises(optimize):
 
 
 def test_rows_are_built_where_the_search_goes():
-    # ten nodes reach at most ten vertices, so at most ten of the 1000 rows exist
+    # ten nodes reach at most ten vertices, so at most ten of the 1000 rows
+    # exist, and a window that ends at |E| needs no cover ratio
     g = gen_path(1000)
     search = solvers._Search(g, g.n, 10)
     with pytest.raises(CapabilityError, match="node budget"):
         search.run([0, g.edge_count()], lambda _c, _vec: None)
     assert sum(row is not None for row in search.rows) <= 10
+    assert "cover_ratio" not in vars(search)
 
 
 WITNESS_CHECK_UNDER_O = """
@@ -835,23 +838,84 @@ def test_private_geodesic_bound_keeps_every_oracle_answer(monkeypatch):
     assert on_total * 5 <= off_total * 3
 
 
-def test_oracle_on_trees_gains_nothing_from_the_cover_ratio(monkeypatch):
-    # on a tree hi - total >= |U| at every node (module docstring), so the
-    # cover-ratio cut that beats_diameter skips there would cut nothing: the
-    # same broadcasts from the same nodes, with rho computed or not
-    ratios = []
+def count_cover_ratios(monkeypatch):
+    """A list to which every computation of rho appends rho."""
+    calls = []
+    compute = solvers._Search.cover_ratio.func
 
-    class WithRatio(solvers._Search):
-        def __init__(self, *args, ratio):
-            super().__init__(*args)
-            ratios.append(self.cover_ratio)
+    def counted(search):
+        calls.append(compute(search))
+        return calls[-1]
 
-    for t in lookahead_corpus():
-        skipped = oracle_search(t, monkeypatch)
+    counted_ratio = cached_property(counted)
+    counted_ratio.__set_name__(solvers._Search, "cover_ratio")
+    monkeypatch.setattr(solvers._Search, "cover_ratio", counted_ratio)
+    return calls
+
+
+def force_cover_ratio(monkeypatch):
+    """Make every run cut on rho, whatever its window: the run reads rho
+    only when its window ends below `edges`, which this sets past hi while
+    the run lasts."""
+    run = solvers._Search.run
+
+    def forced(search, window, on_found, **kwargs):
+        edges, search.edges = search.edges, window[1] + 1
+        try:
+            run(search, window, on_found, **kwargs)
+        finally:
+            search.edges = edges
+
+    monkeypatch.setattr(solvers._Search, "run", forced)
+
+
+def random_connected_non_trees(count, seed):
+    """Seeded random trees of 6-10 vertices plus 1-4 random extra edges."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = random_tree(rng.randint(6, 10), rng)
+        present = set(t.edges())
+        missing = [e for e in itertools.combinations(range(t.n), 2) if e not in present]
+        yield build_graph(t.n, t.edges() + rng.sample(missing, rng.randint(1, 4)))
+
+
+def test_cover_ratio_is_idle_at_the_edge_count(monkeypatch):
+    # with hi = |E| the cover-ratio cut never fires, on any graph (module
+    # docstring): the Gamma_b maximum, the non-bipartite Gamma maximum and
+    # the oracle compute no rho, and forcing rho into every run of theirs
+    # leaves witnesses and nodes alone.  The minima's deepening windows end
+    # below |E|, so each of their solves computes rho once, unless |E| = 1,
+    # and so does the bipartite Gamma window [beta, beta] when beta < |E|.
+    # Gamma_b skips the corpus trees of more than 11 vertices, on which it
+    # takes 17 s
+    non_trees = (
+        [gen_cycle(n) for n in range(3, 16)]
+        + [gen_torus(m, n) for m, n in [(3, 3), (3, 4), (3, 5), (4, 4), (4, 5)]]
+        + [gen_grid(m, n) for m in range(2, 5) for n in range(m, 5)]
+        + list(random_connected_non_trees(60, 28))
+    )
+    calls = count_cover_ratios(monkeypatch)
+    for g in lookahead_corpus() + non_trees:
+        beta = solvers._bipartite_independence(g)
+        maxima = [lambda g: oracle_search(g, monkeypatch)]
+        if g.n <= 11 or g.edge_count() >= g.n:
+            maxima.append(solve_upper_gamma_b)
+        if beta is None:
+            maxima.append(solve_upper_gamma)
+        plain = [solver(g) for solver in maxima]
+        assert not calls
         with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_Search", WithRatio)
-            assert oracle_search(t, monkeypatch) == skipped, t.edges()
-    assert all(num >= 2 * den > 0 for num, den in ratios)
+            force_cover_ratio(patch)
+            assert [solver(g) for solver in maxima] == plain
+        # one rho per forced search, and rho >= 2, as the proof needs
+        assert len(calls) == len(maxima) and all(num >= 2 * den for num, den in calls)
+        calls.clear()
+        for solver, computes in ((solve_gamma, g.edge_count() > 1),
+                                 (solve_gamma_b, g.edge_count() > 1),
+                                 (solve_upper_gamma, beta is not None and beta < g.edge_count())):
+            solver(g)
+            assert len(calls) == computes, (solver.__name__, g.edges())
+            calls.clear()
 
 
 def test_private_geodesic_bound_counts_self_private_edges():
