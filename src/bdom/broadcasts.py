@@ -25,9 +25,6 @@ class Broadcast:
 
     strengths: tuple[int, ...]
 
-    def broadcasters(self) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.strengths) if s > 0)
-
 
 def cost(f: Broadcast) -> int:
     return sum(f.strengths)

@@ -85,6 +85,8 @@ def parse_family(spec: str) -> tuple[str, int | None, int, Graph]:
 
 
 def _load_graph(path: str) -> Graph:
+    if not path:
+        raise InputError("--graph needs a file path, got ''")
     try:
         text = Path(path).read_text()
     except OSError as exc:

@@ -30,34 +30,35 @@ caller may narrow as results come in, and it cuts a subtree when
   |U| / 2, and rho >= 2 when n >= 2 (a lone vertex has hi = 1 = rho).  So
   `run` reads rho only when hi < |E|: in the minimum's deepening and in the
   bipartite Gamma window;
-* (`beats_diameter` alone, the private-neighbor lookahead) the broadcaster v
-  just placed can keep no private neighbor: let q be its private-neighbor
-  spots still heard only by v.  A later vertex p hears an unheard vertex u
-  only at a strength of at least max(1, d(p, u)), and once p's ball holds
-  all of q, v has lost them all.  So p hears u and spares v only when u lies
-  in p's safe ball, the largest ball of radius 1 to p's cap that misses part
-  of q, and the branch dies when some unheard vertex lies in no later safe
-  ball.  q only shrinks as the search goes on, so the test never cuts a
-  completable branch, and verdict and witness stay.  Each (position, q)
-  cover is computed once per search; a position whose row is not yet built
-  counts at its whole ball, so the rows stay lazy.
-* (`beats_diameter` on trees, under the same flag, the private-geodesic
-  bound) the broadcasters from position i on cannot lift the cost to lo.
-  In a minimal dominating broadcast f give each broadcaster v a private
-  neighbor u_v at distance f(v) and a geodesic P_v from v to it, or one
-  edge at v when f(v) = 1 and v is its own only private neighbor.  These
-  edge sets are pairwise disjoint, so f costs at most the edges they use.
-  If P_v and P_w share an edge, the triangle inequality through its ends
-  gives d(w, u_v) + d(v, u_w) <= f(v) + f(w) when both cross it the same
-  way, and 2 less the opposite ways, while privacy needs more than
-  f(v) + f(w); a vertex that is its own private neighbor lies in no other
-  ball, so on no other geodesic, and no two such are adjacent.  A later
-  broadcaster's private neighbor is still unheard, so on a tree its edges
-  lie in F_i(U): the edges that separate a position >= i from an unheard
-  vertex, and the edges at a vertex that is both.  The search cuts a node
-  when its cost so far plus |F_i(U)| is below lo.  An edge whose two sides
-  both hold a position >= i counts for every nonempty U, and any other once
-  U meets the side without one or an end of the edge at one (`_Spans`);
+* (the private-neighbor lookahead, made where a search of broadcasts has a
+  window with a floor, lo >= 1: the Gamma_b maximum and `beats_diameter`)
+  the broadcaster v just placed can keep no private neighbor: let q be its
+  private-neighbor spots still heard only by v.  A later vertex p hears an
+  unheard vertex u only at a strength of at least max(1, d(p, u)), and once
+  p's ball holds all of q, v has lost them all.  So p hears u and spares v
+  only when u lies in p's safe ball, the largest ball of radius 1 to p's
+  cap that misses part of q, and the branch dies when some unheard vertex
+  lies in no later safe ball.  q only shrinks as the search goes on, so the
+  test never cuts a completable branch, and values and witnesses stay.
+  Each (position, q) cover is computed once per run; a position whose row
+  is not yet built counts at its whole ball, so the rows stay lazy.
+* (on trees, with the lookahead, the private-geodesic bound) the
+  broadcasters from position i on cannot lift the cost to lo.  In a minimal
+  dominating broadcast f give each broadcaster v a private neighbor u_v at
+  distance f(v) and a geodesic P_v from v to it, or one edge at v when
+  f(v) = 1 and v is its own only private neighbor.  These edge sets are
+  pairwise disjoint, so f costs at most the edges they use.  If P_v and P_w
+  share an edge, the triangle inequality through its ends gives
+  d(w, u_v) + d(v, u_w) <= f(v) + f(w) when both cross it the same way, and
+  2 less the opposite ways, while privacy needs more than f(v) + f(w); a
+  vertex that is its own private neighbor lies in no other ball, so on no
+  other geodesic, and no two such are adjacent.  A later broadcaster's
+  private neighbor is still unheard, so on a tree its edges lie in F_i(U):
+  the edges that separate a position >= i from an unheard vertex, and the
+  edges at a vertex that is both.  The search cuts a node when its cost so
+  far plus |F_i(U)| is below lo.  An edge whose two sides both hold a
+  position >= i counts for every nonempty U, and any other once U meets the
+  side without one or an end of the edge at one (`_Spans`, for any order);
   each position's masks are built on its first visit.
 
 Each solve builds one `_Search`, which holds the search order, each
@@ -65,9 +66,10 @@ position's top strength, the ball rows, built on a run's first visit, rho,
 built by the first run whose window ends below |E|, and the node count
 against the budget.  Each round of the solve (the minimum's deepening, the
 orbit rounds below) is one `run`, which builds the suffix tables once per
-caps.  `run` takes one Python frame per position and raises the recursion
-limit by n while it runs; a graph of more than _DEPTH_CAP vertices is
-refused before its distance table is built.
+caps: the tops, or the tops cut to an orbit round's s0.  `run` takes one
+Python frame per position and raises the recursion limit by n while it
+runs; a graph of more than _DEPTH_CAP vertices is refused before its
+distance table is built.
 
 No minimal dominating broadcast costs more than the edge count, which caps
 hi.  Every search tries each vertex's strengths from the top down, with 0
@@ -148,7 +150,7 @@ from .broadcasts import (
     is_minimal_dominating_set,
 )
 from .errors import CapabilityError, DepthCapError, InputError
-from .graphs import Graph, is_connected, metrics
+from .graphs import Graph, bfs_distances, is_connected, metrics
 
 # search nodes, for all four solvers and beats_diameter
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -208,27 +210,26 @@ def _check_witness(invariant: str, ok: bool) -> None:
 
 class _Spans:
     """The edges of a tree that the broadcasters from each search position
-    on may use for their private geodesics (module docstring), for an order
-    that is breadth-first from order[0].  built[i] = (always, masks), or
-    None until the search first reaches position i: with U the unheard set,
-    |F_i(U)| is always plus the number of masks that meet U, when U is not
-    empty.
+    on may use for their private geodesics (module docstring), for any
+    order.  built[i] = (always, masks), or None until the search first
+    reaches position i: with U the unheard set, |F_i(U)| is always plus the
+    number of masks that meet U, when U is not empty.
 
-    Let L be the vertices at positions >= i.  The edge from a vertex to its
-    child c has two sides, c's subtree and the rest.  When L meets both it
-    is in F_i(U) for every nonempty U; otherwise it is in F_i(U) once U
-    meets the side L misses or one of the edge's ends in L."""
+    Let L be the vertices at positions >= i.  Rooted at order[0], the edge
+    from a vertex to its child c has two sides, c's subtree and the rest,
+    which no rooting changes.  When L meets both it is in F_i(U) for every
+    nonempty U; otherwise it is in F_i(U) once U meets the side L misses or
+    one of the edge's ends in L."""
 
     def __init__(self, g: Graph, order: tuple[int, ...]):
         n = g.n
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
+        depth = bfs_distances(g, order[0])
         full = (1 << n) - 1
         sub = [1 << v for v in range(n)]  # the subtree below each vertex, as a bit mask
         self.edges = []  # (the child's subtree, the rest, the two ends) per edge
-        for v in reversed(order[1:]):
-            p = min(g.adjacency[v], key=pos.__getitem__)
+        # children before parents; the root, alone at depth 0, comes last
+        for v in sorted(range(n), key=depth.__getitem__, reverse=True)[:-1]:
+            p = next(w for w in g.adjacency[v] if depth[w] < depth[v])
             sub[p] |= sub[v]
             self.edges.append((sub[v], full ^ sub[v], 1 << v | 1 << p))
         self.later = list(accumulate((1 << v for v in reversed(order)), operator.or_))[::-1]
@@ -266,7 +267,7 @@ class _Search:
         self.tops = tuple(min(max(m.ecc[v], 1), top) for v in order)
         self.rows: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * n
         self.spans: _Spans | None = None  # for the private-geodesic bound, on trees
-        self.nodes, self.budget = 0, budget
+        self.top, self.nodes, self.budget = top, 0, budget
         self.suffixes: dict[tuple[int, ...], tuple] = {}  # caps -> suffix tables
 
     @cached_property
@@ -303,6 +304,11 @@ class _Search:
         row = self.rows[i] = (ball, tuple(spheres))
         return row
 
+    def lookahead(self, window: list[int]) -> bool:
+        """Whether a run in `window` makes the lookahead and, on a tree, the
+        private-geodesic bound: in a search of broadcasts with a floor."""
+        return self.top > 1 and window[0] >= 1
+
     def suffix_tables(self, caps: tuple[int, ...]) -> tuple:
         """For each position i, the union of the balls at positions >= i at
         their caps, the sum of those caps, and the largest of them: what
@@ -326,33 +332,32 @@ class _Search:
         self,
         window: list[int],
         on_found: Callable[[int, tuple[int, ...]], None],
-        caps: tuple[int, ...] | None = None,
         s0: int = 0,
         maps: Sequence[Sequence[int]] = (),
-        lookahead: bool = False,
     ) -> None:
         """DFS over strength vectors, largest first in lexicographic order:
-        position i tries its strengths from caps[i] down, with 0 last; caps
-        is tops when None, and each cap is at most its top, so that the
-        cover ratio still bounds it.
+        position i tries its strengths from caps[i] down, with 0 last.  The
+        caps are the tops, each cut to s0 when s0 >= 1, so that the cover
+        ratio still bounds them.
 
         Calls on_found(cost, strengths) for every minimal dominating
         broadcast whose cost lies in the window [lo, hi] = `window`, with hi
         at most the edge count; strengths[i] is the strength of vertex
         order[i].  on_found may narrow the window by raising lo; raising it
         past hi closes the window and ends the search.  With s0 >= 1,
-        position 0 is fixed at strength s0 (at most its cap) and the search
+        position 0 is fixed at strength s0 (at most its top) and the search
         starts from the state after it.  A budget error also reports the
         size of the space.
 
         Each of `maps` is an automorphism read as a map pi on positions
         that keeps every cap; the search skips every f that is
-        lexicographically smaller than f o pi (the lex-leader cut).  With
-        `lookahead` it also makes the private-neighbor lookahead and, on a
-        tree, the private-geodesic bound (module docstring).
+        lexicographically smaller than f o pi (the lex-leader cut).  Where
+        `lookahead` holds for the window it also makes the private-neighbor
+        lookahead and, on a tree, the private-geodesic bound (module
+        docstring).
         """
         n = self.n
-        caps = self.tops if caps is None else caps
+        caps = tuple(min(c, s0) for c in self.tops) if s0 else self.tops
         if caps not in self.suffixes:
             self.suffixes[caps] = self.suffix_tables(caps)
         suffix_cover, suffix_strength, suffix_top = self.suffixes[caps]
@@ -365,6 +370,7 @@ class _Search:
         count = self.nodes
         node_cap = self.budget
         covers: dict[tuple[int, int], int] = {}
+        lookahead = self.lookahead(window)
         spans = None
         if lookahead and self.g.edge_count() == n - 1:
             spans = self.spans = self.spans or _Spans(self.g, self.order)
@@ -689,24 +695,19 @@ def _bipartite_independence(g: Graph) -> int | None:
     König's theorem with nu the size of a maximum matching; None when g has
     an odd cycle.
 
-    It 2-colours g by BFS from vertex 0, then grows the matching by
-    augmenting paths in phases: each phase searches from every unmatched
-    vertex of colour 0, with one visited mark per vertex for the whole
-    phase, and the matching is maximum after a phase that finds none.  The
-    path search keeps its own stack, so a long path takes no Python frames.
+    It 2-colours g by the parity of the distance from vertex 0: g has an
+    odd cycle exactly when some edge joins two vertices at the same
+    distance.  It then grows the matching by augmenting paths in phases:
+    each phase searches from every unmatched vertex of colour 0, with one
+    visited mark per vertex for the whole phase, and the matching is
+    maximum after a phase that finds none.  The path search keeps its own
+    stack, so a long path takes no Python frames.
     """
     n, adjacency = g.n, g.adjacency
-    colour = [-1] * n
-    colour[0] = 0
-    queue = [0]
-    for v in queue:
-        for w in adjacency[v]:
-            if colour[w] < 0:
-                colour[w] = colour[v] ^ 1
-                queue.append(w)
-            elif colour[w] == colour[v]:
-                return None
-    left = [v for v in range(n) if colour[v] == 0]
+    depth = bfs_distances(g, 0)
+    if any(depth[a] == depth[b] for a, b in g.edges()):
+        return None
+    left = [v for v in range(n) if depth[v] % 2 == 0]
     mate = [-1] * n
     grew = True
     while grew:
@@ -766,7 +767,7 @@ def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> I
         top_cap = max(search.tops)
         beta = _bipartite_independence(g) if top == 1 else None
         window = [top_cap, max(search.edges, 1)] if beta is None else [beta, beta]
-        rounds = [(None, 0)]
+        rounds = [0]
         # positions are labels here, so each automorphism is its own map on
         # positions, and it keeps the caps, which follow the eccentricities
         maps = _automorphisms(g)
@@ -774,10 +775,10 @@ def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> I
             # one round per s0 from the top cap down, each on the same rows
             # with caps min(cap, s0) and the window the rounds before left;
             # a set search has one round, over the sets that hold vertex 0
-            rounds = [(tuple(min(c, s0) for c in search.tops), s0) for s0 in range(top_cap, 0, -1)]
+            rounds = range(top_cap, 0, -1)
         maps = maps[:_LEX_MAP_CAP]
-        for caps, s0 in rounds:
-            search.run(window, on_found, caps=caps, s0=s0, maps=maps)
+        for s0 in rounds:
+            search.run(window, on_found, s0=s0, maps=maps)
         if not found:
             # an explicit raise, not an assert, so that it also runs under -O
             raise AssertionError(
@@ -840,18 +841,17 @@ def beats_diameter(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Broadcast | N
     is the lexicographically largest such broadcast with its strengths read
     in that order.
 
-    It alone makes the private-neighbor lookahead (module docstring), which
-    cuts only branches that hold no minimal dominating broadcast at any
-    cost, so the first find, verdict and witness, is the one the search
-    without it makes.  On trees most branches die only at the last levels,
-    when some broadcaster loses its last private neighbor, and the lookahead
-    sees that early.  On trees it also makes the private-geodesic bound,
-    which cuts only branches whose every completion costs less than the
-    window's lo: most of the nodes the lookahead leaves lie on branches that
-    do complete, but only below lo.  The four solvers leave both off: the
-    lookahead cut only 10% of the benchmark's broadcast-ladder nodes and 1%
-    of its set-ladder nodes, and on cycles and tori almost every edge stays
-    in F_i(U).
+    Its window has a floor, so its search makes the private-neighbor
+    lookahead (module docstring), which cuts only branches that hold no
+    minimal dominating broadcast at any cost, so the first find, verdict
+    and witness, is the one the search without it makes.  On trees most
+    branches die only at the last levels, when some broadcaster loses its
+    last private neighbor, and the lookahead sees that early.  On trees it
+    also makes the private-geodesic bound, which cuts only branches whose
+    every completion costs less than the window's lo: most of the nodes the
+    lookahead leaves lie on branches that do complete, but only below lo.
+    The Gamma_b maximum makes both too.  The other three solvers make
+    neither, since there they cost more time than they save.
     """
     _require_searchable(g)
     m = metrics(g)
@@ -867,7 +867,7 @@ def beats_diameter(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Broadcast | N
         found.append(vec)
         window[0] = window[1] + 1  # the first find decides
 
-    search.run(window, on_found, lookahead=True)
+    search.run(window, on_found)
     if not found:
         return None
     strengths = [0] * g.n

@@ -302,6 +302,14 @@ def test_classify_non_tree_is_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", [("invariant", "--which", "gamma"), ("classify",)],
+                         ids=lambda argv: argv[0])
+def test_empty_graph_path_is_refused(capsys, command):
+    # an empty path would read the working directory
+    code, out, err = run(capsys, command[0], "--graph", "", *command[1:])
+    assert (code, out, err) == (EXIT_INPUT, "", "error: --graph needs a file path, got ''\n")
+
+
 def test_enumerate_check_small(capsys, tmp_path):
     code, out, _ = run(
         capsys, "enumerate-check", "--max-n", "6",

@@ -750,6 +750,12 @@ def test_package_imports_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def without_lookahead(patch):
+    """Make every run leave out the private-neighbor lookahead and the
+    private-geodesic bound, whatever its search and window."""
+    patch.setattr(solvers._Search, "lookahead", lambda _search, _window: False)
+
+
 def oracle_search(g, monkeypatch, cut=True, spans=True, eager=False):
     """`beats_diameter(g)` and the nodes its search visits, with the
     private-neighbor lookahead on or, with cut=False, off; spans=False turns
@@ -758,17 +764,19 @@ def oracle_search(g, monkeypatch, cut=True, spans=True, eager=False):
     run = solvers._Search.run
     counts = []
 
-    def counted(search, window, on_found, lookahead=False, **kwargs):
+    def counted(search, window, on_found, **kwargs):
         if eager:
             for i in range(search.n):
                 search.build_row(i)
         try:
-            run(search, window, on_found, lookahead=lookahead and cut, **kwargs)
+            run(search, window, on_found, **kwargs)
         finally:
             counts.append(search.nodes)
 
     with monkeypatch.context() as patch:
         patch.setattr(solvers._Search, "run", counted)
+        if not cut:
+            without_lookahead(patch)
         if not spans:
             patch.setattr(solvers, "_Spans", lambda _g, _order: None)
         return beats_diameter(g), sum(counts)
@@ -962,24 +970,26 @@ def brute_span_count(t, order, i):
 def test_span_rows_count_the_private_geodesic_edges(monkeypatch):
     # every position and nonempty U on the trees of 2-8 vertices, and a
     # seeded sample of U on relabelled random trees of 12-16 vertices, each
-    # in the order beats_diameter searches it
+    # in the order beats_diameter searches it and in label order, which the
+    # Gamma_b maximum searches and which is not breadth-first
     made = keep_spans(monkeypatch)
     small = [t for t in enumerate_trees(8) if t.n >= 2]
     rng = random.Random(24)
     large = [relabelled(random_tree(rng.randint(12, 16), rng), rng.randrange(10**6)) for _ in range(6)]
     for t in small + large:
         beats_diameter(t)
-        spans, order = made.pop()
-        for i in range(t.n):
-            if t.n <= 8:
-                unheards = range(1, 1 << t.n)
-            else:
-                unheards = [rng.randrange(1, 1 << t.n) for _ in range(100)]
-                unheards += [1 << v for v in range(t.n)]
-            always, masks = spans.build(i)
-            count = brute_span_count(t, order, i)
-            for unheard in unheards:
-                assert always + sum(bool(mask & unheard) for mask in masks) == count(unheard)
+        labels = tuple(range(t.n))
+        for spans, order in (made.pop(), (solvers._Spans(t, labels), labels)):
+            for i in range(t.n):
+                if t.n <= 8:
+                    unheards = range(1, 1 << t.n)
+                else:
+                    unheards = [rng.randrange(1, 1 << t.n) for _ in range(100)]
+                    unheards += [1 << v for v in range(t.n)]
+                always, masks = spans.build(i)
+                count = brute_span_count(t, order, i)
+                for unheard in unheards:
+                    assert always + sum(bool(mask & unheard) for mask in masks) == count(unheard)
 
 
 def test_span_rows_are_built_where_the_search_goes(monkeypatch):
@@ -1049,13 +1059,52 @@ def test_lookahead_cuts_two_thirds_of_a_diametrical_lobster(monkeypatch):
     assert cut_nodes * 3 <= plain_nodes
 
 
+# A tree whose label order is not breadth-first: span masks that take each
+# vertex's parent from the search order are wrong on it, and the Gamma_b
+# maximum then returns (0, 0, 5, 3, 0, ...), not its lexicographically
+# largest optimum
+LABEL_ORDER_TREE = build_graph(
+    10, [(0, 3), (0, 6), (1, 7), (1, 8), (2, 4), (3, 8), (4, 8), (5, 7), (6, 9)]
+)
+
+
+def test_lookahead_keeps_every_upper_broadcast_answer(monkeypatch):
+    # the lookahead and, on trees, the private-geodesic bound cut only
+    # branches with no minimal dominating completion of cost >= lo, so the
+    # Gamma_b maximum finds what it finds without them: the same values and
+    # witnesses, and no node added.  Every tree of 2-10 vertices, the tree
+    # above, the tori of up to 30 vertices and the grids of up to 20; without
+    # the cut the grids from 3x8 on take over a second each (3x10: 46 s)
+    graphs = [t for t in enumerate_trees(10) if t.n >= 2] + [LABEL_ORDER_TREE]
+    graphs += [gen_torus(m, n) for m in range(3, 6) for n in range(m, 11) if m * n <= 30]
+    graphs += [gen_grid(m, n) for m in range(2, 5) for n in range(m, 11) if m * n <= 20]
+    cut_total = plain_total = 0
+    for g in graphs:
+        cut = solve_upper_gamma_b(g)
+        with monkeypatch.context() as patch:
+            without_lookahead(patch)
+            plain = solve_upper_gamma_b(g)
+        assert (cut.value, cut.witness_broadcast) == (plain.value, plain.witness_broadcast)
+        assert cut.nodes <= plain.nodes
+        cut_total += cut.nodes
+        plain_total += plain.nodes
+    assert solve_upper_gamma_b(LABEL_ORDER_TREE).witness_broadcast.strengths == (0, 2) + (0,) * 7 + (6,)
+    assert len(graphs) == 230 and cut_total * 3 < plain_total * 2  # 197,678 against 315,712
+
+
+def test_upper_broadcast_of_c5_c7_within_a_small_budget():
+    # 277,503 nodes; 405,206 without the lookahead
+    assert solve_upper_gamma_b(gen_torus(5, 7), 300_000).value == 20
+
+
 def test_lookahead_leaves_the_ladders_alone():
     # the benchmark's 62 ladder operations at seed 0, whose values, witnesses
     # and node counts were recorded before the oracle had the lookahead; a
     # change to the ladders in perfbench/workloads.py records them again.
     # The node counts were recorded again when Gamma on bipartite graphs
-    # took the window [beta, beta] (9,789 Gamma nodes before); the values
-    # and witnesses, hashed on their own, were recorded before that change
+    # took the window [beta, beta] (9,789 Gamma nodes before), and when the
+    # Gamma_b maximum took the lookahead (13,650 Gamma_b nodes before); the
+    # values and witnesses, hashed on their own, were recorded before both
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     try:
         from tracing import Tracer
@@ -1068,12 +1117,12 @@ def test_lookahead_leaves_the_ladders_alone():
             r = SOLVERS[op.kind](op.graph)
             rows.append((op.label, r.value, r.witness_set or r.witness_broadcast.strengths, r.nodes))
             totals[op.kind] = totals.get(op.kind, 0) + r.nodes
-    assert totals == {"Gamma_b": 13650, "gamma_b": 1703, "gamma": 3803, "Gamma": 4471}
+    assert totals == {"Gamma_b": 12130, "gamma_b": 1703, "gamma": 3803, "Gamma": 4471}
     assert hashlib.sha256(repr([row[:3] for row in rows]).encode()).hexdigest() == (
         "a3ac668d46c6ccb0c3a32d4f604a2512dcad0bd79ef147b5ce7338023e049336"
     )
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "0d9e531029fe3404c438130f745cab0616dbfdec080894a50f1f3f37664b904e"
+        "36aa9ca452088193d31ad2c356554edee9f06e7d371146f8ab352c24217c7d56"
     )
 
 
