@@ -45,8 +45,8 @@ diameter, which certifies a non-diametrical graph, or None for a
 diametrical one.  It searches the vertices by distance from the
 least-labelled vertex of largest eccentricity, ties by label, so that its
 work does not hang on how a tree happens to be labelled; its witness is the
-lexicographically largest such broadcast read in that order.  The solvers
-behind the invariants keep label order, since their witnesses are printed.
+lexicographically largest such broadcast read in that order.  The
+broadcast solvers behind the invariants keep label order (`bdom.solvers`).
 """
 
 from __future__ import annotations

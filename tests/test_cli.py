@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdom import cli, sweeps
+from bdom import cli, solvers, sweeps
 from bdom.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main, parse_family
 from bdom.errors import InputError
 from bdom.graphs import FAMILIES, LobsterSpec, gen_lobster, gen_torus, parse_edge_list, serialize
@@ -194,7 +194,7 @@ def test_verify_exits_budget_when_points_are_skipped(capsys):
 
 
 def test_verify_budget_exit_outranks_mismatch(capsys):
-    # C3xC4 mismatches within 40 nodes; C3xC5 and C4xC5 need 186 and 277
+    # C3xC4 mismatches within 40 nodes; C3xC5 and C4xC5 need 179 and 293
     # and are skipped, while bipartite C4xC4 takes 16 under the window
     # [beta, beta]
     code, out, _ = run(
@@ -239,6 +239,25 @@ def test_verify_grid_diametrical(capsys):
     assert code == EXIT_OK
     assert len(rows) == 9  # pairs with m <= n
     assert all(r["match"] == "true" for r in rows)
+
+
+def test_verify_reports_the_oracle_nodes_of_diametrical_points(capsys, monkeypatch):
+    # each row counts the nodes of its oracle search; a path's window is
+    # empty, so its search is one node
+    searched = []
+    run_search = solvers._Search.run
+
+    def counted(search, *args, **kwargs):
+        run_search(search, *args, **kwargs)
+        searched.append(search.nodes)
+
+    monkeypatch.setattr(solvers._Search, "run", counted)
+    code, out, _ = run(
+        capsys, "verify", "--family", "grid", "--which", "diametrical", "--m", "1:2", "--n", "2:4",
+    )
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == EXIT_OK
+    assert [int(row[7]) for row in rows] == searched == [1, 1, 1, 9, 7, 9]
 
 
 def test_verify_writes_n_a_where_the_solver_refuses_a_point(capsys):

@@ -133,16 +133,25 @@ PRUNED_VS_BRUTE = [
 ]
 
 
+def set_search_order(g):
+    """The set solvers' search order: by distance from vertex 0, then by label."""
+    depth = metrics(g).dist[0]
+    return sorted(range(g.n), key=lambda v: (depth[v], v))
+
+
 def assert_set_solvers_match_brute(g):
-    """gamma and Gamma, value and lexicographically smallest witness, as the
-    subset oracle finds them: of two sets of one size, the one with the
-    smaller first differing vertex has the larger 0/1 vector."""
+    """gamma and Gamma, value and witness, as the subset oracle finds them:
+    of the optimal sets, the one whose 0/1 vector, read in the set search
+    order, is lexicographically largest."""
     sets = brute_minimal_dominating_sets(g)
     sizes = [len(s) for s in sets]
+    order = set_search_order(g)
     for solver, size in ((solve_gamma, min(sizes)), (solve_upper_gamma, max(sizes))):
         rep = solver(g)
         assert rep.value == size
-        assert rep.witness_set == min(s for s in sets if len(s) == size)
+        assert rep.witness_set == max(
+            (s for s in sets if len(s) == size), key=lambda s: [v in s for v in order]
+        )
 
 
 def assert_broadcast_solvers_match_brute(g, brute):
@@ -529,6 +538,23 @@ def test_lex_leader_cut_equals_brute_force(g):
     assert_set_solvers_match_brute(g)
 
 
+RELABELLED_PRODUCTS = [
+    relabelled(g, seed)
+    for g in (gen_torus(3, 3), gen_torus(3, 4), gen_grid(2, 4), gen_grid(3, 3), gen_grid(3, 4))
+    for seed in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("g", RELABELLED_PRODUCTS, ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_set_solvers_on_relabelled_products_equal_brute_force(g):
+    # the set search reads its positions breadth-first from vertex 0, so the
+    # automorphisms it cuts with must be read on positions too, and its
+    # witness mapped back to labels
+    assert solvers._automorphisms(g)
+    assert set_search_order(g) != list(range(g.n))
+    assert_set_solvers_match_brute(g)
+
+
 def test_lex_leader_cut_halves_grid_nodes(monkeypatch):
     g = gen_grid(4, 4)
     assert solve_upper_gamma_b(g).nodes * 2 < plain_search(g, monkeypatch).nodes
@@ -616,6 +642,16 @@ def test_bipartite_window_cuts_the_proof(monkeypatch):
     # the windowless search takes 46,178 nodes to prove Gamma(P6xP6) = 18
     g = gen_grid(6, 6)
     assert solve_upper_gamma(g).nodes * 100 < windowless(g, monkeypatch).nodes
+
+
+@pytest.mark.parametrize("g", [gen_cycle(40), gen_torus(8, 8)], ids=["C40", "C8xC8"])
+def test_bipartite_witness_search_ignores_labels(g):
+    # breadth-first from vertex 0, the first set of cost beta the search
+    # meets is its first leaf, one node per position, at every labelling; in
+    # label order the relabelled C40 passed 200,000 nodes
+    for seed in range(1, 9):
+        rep = solve_upper_gamma(relabelled(g, seed), 10_000)
+        assert rep.value == g.n // 2 and rep.nodes == g.n
 
 
 def test_bipartite_independence_is_n_less_a_maximum_matching():
@@ -1097,14 +1133,9 @@ def test_upper_broadcast_of_c5_c7_within_a_small_budget():
     assert solve_upper_gamma_b(gen_torus(5, 7), 300_000).value == 20
 
 
-def test_lookahead_leaves_the_ladders_alone():
-    # the benchmark's 62 ladder operations at seed 0, whose values, witnesses
-    # and node counts were recorded before the oracle had the lookahead; a
-    # change to the ladders in perfbench/workloads.py records them again.
-    # The node counts were recorded again when Gamma on bipartite graphs
-    # took the window [beta, beta] (9,789 Gamma nodes before), and when the
-    # Gamma_b maximum took the lookahead (13,650 Gamma_b nodes before); the
-    # values and witnesses, hashed on their own, were recorded before both
+def ladder_rows(workload):
+    """(label, value, witness, nodes) per operation of a benchmark ladder at
+    seed 0, and the node total per invariant."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     try:
         from tracing import Tracer
@@ -1112,18 +1143,43 @@ def test_lookahead_leaves_the_ladders_alone():
     finally:
         sys.path.pop(0)
     rows, totals = [], {}
-    for workload in ("broadcast-ladder", "set-ladder"):
-        for op in build(workload, 0, Tracer(False))[0]:
-            r = SOLVERS[op.kind](op.graph)
-            rows.append((op.label, r.value, r.witness_set or r.witness_broadcast.strengths, r.nodes))
-            totals[op.kind] = totals.get(op.kind, 0) + r.nodes
-    assert totals == {"Gamma_b": 12130, "gamma_b": 1703, "gamma": 3803, "Gamma": 4471}
-    assert hashlib.sha256(repr([row[:3] for row in rows]).encode()).hexdigest() == (
-        "a3ac668d46c6ccb0c3a32d4f604a2512dcad0bd79ef147b5ce7338023e049336"
+    for op in build(workload, 0, Tracer(False))[0]:
+        r = SOLVERS[op.kind](op.graph)
+        rows.append((op.label, r.value, r.witness_set or r.witness_broadcast.strengths, r.nodes))
+        totals[op.kind] = totals.get(op.kind, 0) + r.nodes
+    return rows, totals
+
+
+def sha256(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_lookahead_leaves_the_broadcast_ladder_alone():
+    # the benchmark's 40 broadcast-ladder operations at seed 0, whose values
+    # and witnesses were recorded before the oracle had the lookahead; a
+    # change to the ladder in perfbench/workloads.py records them again.
+    # The node counts were recorded again when the Gamma_b maximum took the
+    # lookahead (13,650 Gamma_b nodes before)
+    rows, totals = ladder_rows("broadcast-ladder")
+    assert totals == {"Gamma_b": 12130, "gamma_b": 1703}
+    assert sha256([row[:3] for row in rows]) == (
+        "0fab8a7e52c463345105cb577d18f5b370df960557e48965eabcdbf694da65dc"
     )
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "36aa9ca452088193d31ad2c356554edee9f06e7d371146f8ab352c24217c7d56"
+    assert sha256(rows) == "daf50780ad44731c4e015d353778aa90f2262a9853532b8b0c181294ea38dae0"
+
+
+def test_set_order_leaves_the_set_ladder_values_alone():
+    # the 22 set-ladder operations at seed 0.  Their values were recorded
+    # before the set search took its breadth-first order; the witnesses and
+    # node counts were recorded again then (3,803 gamma and 4,471 Gamma
+    # nodes before, over label order, and 9,789 Gamma nodes before Gamma on
+    # bipartite graphs took the window [beta, beta])
+    rows, totals = ladder_rows("set-ladder")
+    assert totals == {"gamma": 2827, "Gamma": 2383}
+    assert sha256([row[:2] for row in rows]) == (
+        "4ef673b4ecf8fc93cfe27e0eaf1ea35c735dbe23aeca8a17a666e4371a32172a"
     )
+    assert sha256(rows) == "57f3dd1789aea6b5f02fabe83c97b2c3fa75dd0367fca9cbe6e5cff851db49d9"
 
 
 def test_oracle_leaves_the_corpus_alone(monkeypatch):
