@@ -1,142 +1,114 @@
 """Exact solvers for the four domination invariants, with witnesses.
 
-All four come from one depth-first search over strength vectors in
-lexicographic order.  A minimal dominating set is a minimal dominating
-broadcast whose strengths are all 0 or 1: strength 1 at v hears N[v], and
-v's private neighbor may be v itself.  So the set invariants (gamma, Gamma)
-search strengths capped at 1, and the broadcast invariants (gamma_b,
-Gamma_b) strengths capped at the eccentricity.  The search reports every
-minimal dominating vector whose cost lies in a window [lo, hi], which the
-caller may narrow as results come in, and it cuts a subtree when
+All four, and the diametricality oracle `beats_diameter`, come from one
+depth-first search over strength vectors, `_Search.run`.  A minimal
+dominating set is a minimal dominating broadcast of strengths 0 and 1
+(strength 1 at v hears N[v], and v may be its own private neighbor), so
+gamma and Gamma cap the strengths at 1, and gamma_b and Gamma_b at the
+eccentricity.  The search reports every minimal dominating vector whose
+cost lies in a window [lo, hi], hi <= |E|, which the caller narrows as
+finds come in.
 
-* some broadcaster can no longer gain a private neighbor at the required
-  distance (hearer sets only grow, so the test is monotone and never cuts a
-  completable branch);
-* some vertex that no later vertex can reach is still unheard;
-* the window is empty, or full strength on every later vertex cannot lift
-  the cost to lo;
-* the unheard set U' left after a position cannot lift the cost to lo:
-  every later broadcaster needs a private neighbor heard by it alone, so
-  one still in U' and no other's (Dunbar et al., "Broadcasts in graphs",
-  2006), and the later positions add at most |U'| times their largest cap;
-* hearing the unheard set U cannot fit under hi: with rho = max |ball(v, s)|
-  / s over all vertices v and strengths s from 1 to v's cap, which the orbit
-  rounds below only lower, a broadcaster of strength s hears at most rho * s
-  vertices, so U costs at least |U| / rho.  It cannot fire once hi >= |E|:
-  the broadcasters placed so far each keep a private spot, so by the
-  private-geodesic lemma below, whose proof holds on any graph, their
-  geodesics share no edge, and each of their edges has both ends heard.  So
-  hi - total is at least the number of edges that meet U, which is at least
-  |U| / 2, and rho >= 2 when n >= 2 (a lone vertex has hi = 1 = rho).  So
-  `run` reads rho only when hi < |E|: in the minimum's deepening and in the
-  bipartite Gamma window;
-* (the private-neighbor lookahead, made where a search of broadcasts has a
-  window with a floor, lo >= 1: the Gamma_b maximum and `beats_diameter`)
-  the broadcaster v just placed can keep no private neighbor: let q be its
-  private-neighbor spots still heard only by v.  A later vertex p hears an
-  unheard vertex u only at a strength of at least max(1, d(p, u)), and once
-  p's ball holds all of q, v has lost them all.  So p hears u and spares v
-  only when u lies in p's safe ball, the largest ball of radius 1 to p's
-  cap that misses part of q, and the branch dies when some unheard vertex
-  lies in no later safe ball.  q only shrinks as the search goes on, so the
-  test never cuts a completable branch, and values and witnesses stay.
-  Each (position, q) cover is computed once per run; a position whose row
-  is not yet built counts at its whole ball, so the rows stay lazy.
-* (on trees, with the lookahead, the private-geodesic bound) the
-  broadcasters from position i on cannot lift the cost to lo.  In a minimal
-  dominating broadcast f give each broadcaster v a private neighbor u_v at
-  distance f(v) and a geodesic P_v from v to it, or one edge at v when
-  f(v) = 1 and v is its own only private neighbor.  These edge sets are
-  pairwise disjoint, so f costs at most the edges they use.  If P_v and P_w
-  share an edge, the triangle inequality through its ends gives
-  d(w, u_v) + d(v, u_w) <= f(v) + f(w) when both cross it the same way, and
-  2 less the opposite ways, while privacy needs more than f(v) + f(w); a
-  vertex that is its own private neighbor lies in no other ball, so on no
-  other geodesic, and no two such are adjacent.  A later broadcaster's
-  private neighbor is still unheard, so on a tree its edges lie in F_i(U):
-  the edges that separate a position >= i from an unheard vertex, and the
-  edges at a vertex that is both.  The search cuts a node when its cost so
-  far plus |F_i(U)| is below lo.  An edge whose two sides both hold a
-  position >= i counts for every nonempty U, and any other once U meets the
-  side without one or an end of the edge at one (`_Spans`, for any order);
-  each position's masks are built on its first visit.
+Its rules, one line each: what the rule cuts; the nodes with it against
+without it on B and S, the benchmark's broadcast and set ladders at seed 0,
+and on T, the oracle's 294 corpus trees; and the test in
+tests/test_solvers.py that fails without it.
 
-Each solve builds one `_Search`, which holds the search order, each
-position's top strength, the ball rows, built on a run's first visit, rho,
-built by the first run whose window ends below |E|, and the node count
-against the budget.  Each round of the solve (the minimum's deepening, the
-orbit rounds below) is one `run`, which builds the suffix tables once per
-caps: the tops, or the tops cut to an orbit round's s0.  `run` takes one
-Python frame per position and raises the recursion limit by n while it
-runs; a graph of more than _DEPTH_CAP vertices is refused before its
-distance table is built.
+* private neighbor: a strength with no unheard spot at its own distance, or
+  one that takes an earlier broadcaster's last; every answer rests on it
+  (test_witnesses_are_lexicographically_largest_vectors)
+* window: strengths past hi - total, and all once lo passes hi: B 13,920
+  against 204,198 (test_bipartite_witness_search_ignores_labels)
+* reach: strength 0 while an unheard vertex lies in no later ball: S 5,210
+  against 90,814 (test_torus_minimum_within_a_small_budget)
+* floor: strength 0 while the later caps sum below lo - total: B 13,920
+  against 15,085 (test_upper_broadcast_of_c5_c7_within_a_small_budget)
+* unheard count: a strength after which the unheard vertices cannot lift
+  the cost to lo: B 13,920 against 27,461, T 19,786 against 26,322
+  (test_torus_maxima_within_small_budgets)
+* cover ratio, while hi < |E|: unheard vertices that cost more than
+  hi - total: B 13,920 against 1,082,966
+  (test_gamma_b_of_a_long_path_within_a_small_budget)
+* lookahead, for broadcasts with lo >= 1: a broadcaster that no later safe
+  ball leaves a private neighbor: T 19,786 against 118,832
+  (test_lookahead_cuts_two_thirds_of_a_diametrical_lobster)
+* private geodesics, with the lookahead on trees: later broadcasters that
+  cannot lift the cost to lo: T 19,786 against 41,648
+  (test_private_geodesic_bound_keeps_every_oracle_answer)
+* orbit rounds, for the maxima on vertex-transitive graphs: B 13,920
+  against 69,095 (test_orbit_cut_fires_on_relabelled_inputs)
+* lex-leader, for the maxima: a prefix that shows f < f o pi: B 13,920
+  against 22,267, S 5,210 against 24,901
+  (test_lex_leader_cut_halves_grid_nodes)
+* automorphism levels past 0, for the lex-leader maps: S 5,210 against
+  14,569 (test_large_groups_fill_the_map_cap)
+* bipartite window, for Gamma: [beta, beta] for [top cap, |E|]: S 5,210
+  against 9,438 (test_bipartite_window_cuts_the_proof)
 
-No minimal dominating broadcast costs more than the edge count, which caps
-hi.  Every search tries each position's strengths from the top down, with
-0 last, so it meets the vectors largest first in lexicographic order, read
-in its search order, and each solver's witness is the first optimum found.
-The set solvers search the vertices by distance from vertex 0, and the
-diametricality oracle `beats_diameter` by distance from the least-labelled
-vertex of largest eccentricity, ties by label in both (`_breadth_first`):
-the starting rule of Cuthill and McKee's bandwidth ordering.  Each branch's
-vertices then come together, so the cuts fire early whatever the labels,
-and vertex 0 stays at position 0, as the orbit rounds below need.  A set
-witness is the optimal set whose 0/1 vector, read in that order, is
-lexicographically largest; it is mapped back to labels and reported
-sorted.  The oracle decides rather than optimizes: its window is
-[diam + 1, |E|], its first find closes it, and its witness is the
-lexicographically largest vector in the window with strengths read in its
-order.  The broadcast solvers keep label order, and their witness is the
-lexicographically largest optimal strength vector in label order.  In
-breadth-first order the Gamma_b maximum visits more nodes on the canonical
-tori, which label order already searches row by row: C5xC7 takes 322,901
-nodes against 277,503, and C6xC6 131,876 against 103,297.
+The strength loop makes neither the reach nor the floor test: the child
+catches those branches a level down, and the two saved 87 of B's nodes.
 
-Gamma_b and Gamma use the automorphisms that `_automorphisms` finds and
-checks.  On a vertex-transitive graph they search one orbit: every optimum
-has an image under some automorphism with its largest strength s0 at vertex
-0, so one search per s0, with vertex 0 fixed at s0 and every cap at most s0,
-finds the optimum.  The lexicographically largest optimum is such an image,
-so the round of its s0 meets it first and it is the last find.  The solver
-proves transitivity itself, by finding automorphisms that move vertex 0 to
-every vertex.
+Proofs.  Hearer sets only grow along a branch, so a broadcaster that has
+lost every private spot never regains one.  The positions from i + 1 on add
+at most their caps and hear only their balls at those caps.  Each later
+broadcaster keeps a private neighbor that it alone hears, so one still
+unheard and no other's (Dunbar et al., "Broadcasts in graphs", 2006): they
+add at most the unheard count times their largest cap.  With rho the
+largest |ball(v, s)| / s over the vertices v and s from 1 to v's cap, which
+the orbit rounds only lower, the unheard set U costs at least |U| / rho.
+That cut is idle once hi >= |E|: by the lemma below the geodesics of the
+broadcasters placed so far share no edge, and each of their edges has both
+ends heard, so hi - total is at least the edges that meet U, at least
+|U| / 2, and rho >= 2 when n >= 2 (a lone vertex has hi = 1 = rho).
 
-Both maximum searches also make the lex-leader cut (Crawford, Ginsberg, Luks
-and Roy, "Symmetry-breaking predicates for search problems", KR 1996): for
-an automorphism pi they skip a branch once its prefix shows f < f o pi,
-where (f o pi)[v] = f[pi[v]], with both read on positions: pi becomes
-pi'[i] = pos[pi[order[i]]], where pos[order[i]] = i, which is pi itself in
-label order.  An image of a minimal dominating broadcast is one of the same
-cost, and automorphisms keep eccentricities, so f o pi lies in the searched
-space.  The witness w, the lexicographically largest optimum, satisfies
-w >= w o pi for every pi and is never cut; a vector that is cut has a
-larger image of the same cost, and following larger images
-through the finite orbit ends at one that no map cuts.  So values and
-witnesses stay, and only intermediate finds and node counts change.  No map
-need fix vertex 0, so every orbit round gets the same maps: in round s0 a
-map that moves vertex 0 first compares f[0] = s0 with f[pi[0]] <= s0, and
-leaves the watch at once unless the image too starts with s0.  At most
-_LEX_MAP_CAP maps are tracked, each from the depth where its first
-undecided comparison f[k] against f[pi[k]] can be read.  `beats_diameter`
-makes no such cut: on trees the automorphism search costs more than the
-nodes it saves.
+The lookahead: let q be the spots of the broadcaster v just placed that
+only v still hears.  A later vertex p hears an unheard u only at a strength
+of at least max(1, d(p, u)), and once p's ball holds all of q, v has lost
+them all.  So p hears u and spares v only when u lies in p's safe ball, its
+largest ball of radius 1 to its cap that misses part of q.  q only shrinks.
+A position whose row is not yet built counts at its whole ball.
 
-Gamma on a bipartite graph takes its upper bound from a theorem instead of
-the search.  Cockayne, Favaron, Payan and Thomason ("Contributions to the
-theory of domination, independence and irredundance in graphs", Discrete
-Math. 33, 1981) prove Gamma = beta, the independence number, on bipartite
-graphs, and by König's theorem beta = n - nu, with nu the size of a maximum
-matching (`_bipartite_independence`).  So the set search of a bipartite
-graph opens its window at [beta, beta] instead of [top cap, |E|], with the
-same orbit rounds, caps, maps and cuts; its first find closes the window,
-and no search goes on to prove that no larger set exists.  The witness
-stays the same: the search meets the vectors largest first, and its cuts,
-the orbit rounds and the lex-leader cut need only that the lexicographically
-largest optimum lies in the window, so the first vector of cost beta that
-the search meets is that optimum.  The value then rests on the theorem and
-the witness on the predicate layer, and the report's `nodes` count only the
-search for the witness.  A solve whose rounds find no set of cost beta
-raises instead of answering.
+The private-geodesic lemma: in a minimal dominating broadcast f give each
+broadcaster v a private neighbor u_v at distance f(v) and a geodesic P_v to
+it, or one edge at v when f(v) = 1 and v is its own only private neighbor.
+These edge sets are pairwise disjoint, so f costs at most the edges they
+use.  If P_v and P_w share an edge, the triangle inequality through its
+ends gives d(w, u_v) + d(v, u_w) <= f(v) + f(w) when both cross it the same
+way, and 2 less the opposite ways, while privacy needs more; a vertex that
+is its own private neighbor lies in no other ball, so on no other
+geodesic, and no two such are adjacent.  On a tree a later broadcaster's
+private geodesic lies in F_i(U): the edges that separate a position >= i
+from an unheard vertex, and the edges at a vertex that is both (`_Spans`).
+
+The orbit rounds: on a vertex-transitive graph, which `_automorphisms`
+proves by moving vertex 0 everywhere, every optimum has an image with its
+largest strength s0 at vertex 0, so one search per s0, with vertex 0 fixed
+at s0 and every cap at most s0, finds it; the lexicographically largest
+optimum is such an image.  The lex-leader cut (Crawford, Ginsberg, Luks and
+Roy, KR 1996) skips a branch once its prefix shows f < f o pi for an
+automorphism pi, read on positions: pi'[i] = pos[pi[order[i]]].  An image
+of a minimal dominating broadcast is one of the same cost within the same
+caps, since automorphisms keep eccentricities.  The witness w has
+w >= w o pi and is never cut; a cut vector has a larger image of the same
+cost, and larger images through the finite orbit end at one no map cuts.
+No map need fix vertex 0: in round s0 it first compares f[0] = s0 with
+f[pi[0]] <= s0.  On trees the automorphism search costs more than it saves.
+
+The bipartite window: Gamma = beta on bipartite graphs (Cockayne, Favaron,
+Payan and Thomason, Discrete Math. 33, 1981), and beta = n - nu, with nu a
+maximum matching, by König's theorem.  The rules above need only that the
+lexicographically largest optimum lies in the window, so the first find is
+that optimum; `nodes` counts only this witness search, and a solve that
+finds no set of cost beta raises.
+
+Each position tries its strengths from the top down, 0 last, so each
+witness is the first optimum found: the lexicographically largest, read in
+the search order.  The broadcast solvers search in label order, which takes
+the tori row by row (breadth-first, Gamma_b(C5xC7) takes 324,646 nodes
+against 277,960).  The set solvers search by distance from vertex 0, and
+the oracle from the least-labelled vertex of largest eccentricity, ties by
+label (`_breadth_first`, the start of Cuthill and McKee's bandwidth order),
+so each branch's vertices come together whatever the labels.
 """
 
 from __future__ import annotations
@@ -313,7 +285,9 @@ class _Search:
 
     def lookahead(self, window: list[int]) -> bool:
         """Whether a run in `window` makes the lookahead and, on a tree, the
-        private-geodesic bound: in a search of broadcasts with a floor."""
+        private-geodesic bound: in a search of broadcasts with a floor.  The
+        set searches and the minima skip them: there they save few nodes
+        and cost time."""
         return self.top > 1 and window[0] >= 1
 
     def suffix_tables(self, caps: tuple[int, ...]) -> tuple:
@@ -350,18 +324,16 @@ class _Search:
         Calls on_found(cost, strengths) for every minimal dominating
         broadcast whose cost lies in the window [lo, hi] = `window`, with hi
         at most the edge count; strengths[i] is the strength of vertex
-        order[i].  on_found may narrow the window by raising lo; raising it
-        past hi closes the window and ends the search.  With s0 >= 1,
-        position 0 is fixed at strength s0 (at most its top) and the search
-        starts from the state after it.  A budget error also reports the
-        size of the space.
+        order[i].  on_found may raise lo; past hi, that ends the search.
+        With s0 >= 1, position 0 is fixed at strength s0 (at most its top).
+        A budget error also reports the size of the space.  Each of `maps`
+        is an automorphism read on positions that keeps every cap.
 
-        Each of `maps` is an automorphism read as a map pi on positions
-        that keeps every cap; the search skips every f that is
-        lexicographically smaller than f o pi (the lex-leader cut).  Where
-        `lookahead` holds for the window it also makes the private-neighbor
-        lookahead and, on a tree, the private-geodesic bound (module
-        docstring).
+        The rules (module docstring): every node passes the window, the
+        cover ratio and, on a tree under the lookahead, the private
+        geodesics; a strength s > 0 passes the private neighbor, the
+        unheard count, the lex-leader maps and the lookahead; strength 0
+        passes the reach, the floor, the unheard count and the maps.
         """
         n = self.n
         caps = tuple(min(c, s0) for c in self.tops) if s0 else self.tops
@@ -432,14 +404,10 @@ class _Search:
                                 break
                     else:
                         return
-            # the optimistic bound total + s + rest must reach lo; it rises with
-            # s, so only strengths from `first` on can pass
-            rest = suffix_strength[i + 1]
-            first = lo - rest - total
             # each later broadcaster adds at most `most` and keeps a private
-            # neighbor of its own that is still unheard
+            # neighbor of its own that is still unheard; past the last
+            # position most = 0, so there any cost below lo is cut
             most = suffix_top[i + 1]
-            outside = ~suffix_cover[i + 1]  # vertices no later broadcaster can reach
             row = rows[i]
             if row is None:
                 row = build_row(i)
@@ -463,8 +431,6 @@ class _Search:
                     elif strengths[k] < top:
                         top = strengths[k]
             for s in range(top, low - 1 if low else 0, -1):
-                if s < first:  # every smaller strength fails too; first rises with lo
-                    break
                 mine = cands[s]
                 # mine lies inside the ball, whose unheard vertices are the only
                 # ones there left heard exactly once: a private neighbor must be one
@@ -473,8 +439,6 @@ class _Search:
                 b = balls[s]
                 heard_now = unheard & b
                 new_unheard = unheard ^ heard_now
-                if new_unheard & outside:
-                    continue
                 need = lo - total - s
                 if need > 0 and new_unheard.bit_count() * most < need:
                     continue
@@ -502,7 +466,13 @@ class _Search:
                 lo = window[0]
                 if hi < lo:
                     return
-                first = lo - rest - total
+            # the floor and the reach test strength 0 alone, since a child
+            # tests them a level down: first, the least strength at i that
+            # full strength at every later position lifts to lo (the lo the
+            # children left), must be 0, and no unheard vertex may lie
+            # outside every later ball at its cap
+            first = lo - suffix_strength[i + 1] - total
+            outside = ~suffix_cover[i + 1]
             if low == 0 and first <= 0 and unheard & outside == 0:
                 need = lo - total
                 if need <= 0 or unheard.bit_count() * most >= need:
@@ -758,15 +728,8 @@ def _breadth_first(g: Graph, root: int) -> tuple[int, ...]:
 
 def _solve(g: Graph, invariant: str, top: int, budget: int, maximize: bool) -> InvariantReport:
     """The least or greatest cost of a minimal dominating vector with
-    strengths up to top (1: a set), and its lexicographically largest
-    witness, with strengths read in the search order: breadth-first from
-    vertex 0 for a set, label order for a broadcast.
-
-    The search meets the vectors largest first, so the witness is the
-    first optimum found, and every find raises lo past its cost.  Gamma on
-    a bipartite graph searches the window [beta, beta] alone (module
-    docstring).
-    """
+    strengths up to top (1: a set), and its witness (module docstring);
+    every find raises lo past its cost."""
     _require_searchable(g)
     order = _breadth_first(g, 0) if top == 1 else tuple(range(g.n))
     search = _Search(g, top, budget, order)
@@ -855,23 +818,8 @@ def beats_diameter(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Broadcast | N
     """A minimal dominating broadcast that costs more than the diameter;
     None when there is none, that is when Gamma_b equals the diameter.
 
-    The search takes the vertices by distance from the least-labelled vertex
-    of largest eccentricity, ties by label, so that each branch's vertices
-    come together and the cuts fire early whatever the labels.  The witness
-    is the lexicographically largest such broadcast with its strengths read
-    in that order.
-
-    Its window has a floor, so its search makes the private-neighbor
-    lookahead (module docstring), which cuts only branches that hold no
-    minimal dominating broadcast at any cost, so the first find, verdict
-    and witness, is the one the search without it makes.  On trees most
-    branches die only at the last levels, when some broadcaster loses its
-    last private neighbor, and the lookahead sees that early.  On trees it
-    also makes the private-geodesic bound, which cuts only branches whose
-    every completion costs less than the window's lo: most of the nodes the
-    lookahead leaves lie on branches that do complete, but only below lo.
-    The Gamma_b maximum makes both too.  The other three solvers make
-    neither, since there they cost more time than they save.
+    The witness is the lexicographically largest such broadcast, with its
+    strengths read in the oracle's breadth-first order (module docstring).
     """
     return diameter_search(g, budget)[0]
 
@@ -882,8 +830,6 @@ def diameter_search(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> tuple[Broadc
     m = metrics(g)
     order = _breadth_first(g, m.ecc.index(m.diameter))
     search = _Search(g, _broadcast_top(g), budget, order)
-    # the window ends at |E|, where the cover-ratio cut never fires, so the
-    # run computes no rho (module docstring)
     window = [m.diameter + 1, search.edges]
     found: list = []
 

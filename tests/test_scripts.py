@@ -45,15 +45,18 @@ def strip_millis(text: str) -> list[str]:
 
 
 def test_verify_script_is_five_verify_runs(capsys):
+    # the golden rows, millis stripped, hold the values, the four torus
+    # Gamma mismatches and every point's nodes; a change that moves a count
+    # records them again and names the move
     proc = run_script(ROOT / "scripts" / "verify_closed_forms.py")
     assert proc.returncode == EXIT_MISMATCH and proc.stderr == ""
     codes = [main(["verify", *argv]) for argv in VERIFY_SWEEPS]
     expected = capsys.readouterr().out
     assert codes == [0, 0, 0, EXIT_MISMATCH, 0]
     assert strip_millis(proc.stdout) == strip_millis(expected)
-    rows = [line for line in proc.stdout.splitlines() if not line.startswith("family,")]
-    assert len(rows) == 27
-    assert sum(line.split(",")[6] == "false" for line in rows) == 4
+    golden = (ROOT / "tests" / "golden" / "verify_closed_forms.csv").read_text().splitlines()
+    assert strip_millis(proc.stdout) == golden
+    assert len(golden) == 32 and sum(line.split(",")[6] == "false" for line in golden) == 4
 
 
 def test_verify_script_stops_at_the_first_failure():

@@ -306,13 +306,18 @@ def test_gamma_b_of_a_long_path_within_a_small_budget():
 
 
 def test_torus_maxima_within_small_budgets():
-    # the unheard-count and lex-leader cuts: without the first Gamma_b(C6xC6)
-    # takes 3.70M nodes and Gamma(C6xC6) 0.94M, without the second 472k and
-    # 223k; with both 132k and 59k (181k and 114k while the orbit rounds
-    # tested only the maps that fix vertex 0)
+    # the unheard-count and lex-leader cuts: Gamma_b(C6xC6) takes 103,346
+    # nodes and Gamma(C6xC6) 7,430, without the first 767,834 and 13,140,
+    # without the second 347,812 and 152,891
     g = gen_torus(6, 6)
     assert solve_upper_gamma_b(g, 150_000).value == 24
     assert solve_upper_gamma(g, 80_000).value == 18
+
+
+def test_torus_minimum_within_a_small_budget():
+    # the unreachable-vertex test of the 0-branch: gamma(C6xC6) takes 2,490
+    # nodes with it and 111,273 without it
+    assert solve_gamma(gen_torus(6, 6), 10_000).value == 8
 
 
 def test_node_budget_reports_estimate():
@@ -1129,7 +1134,8 @@ def test_lookahead_keeps_every_upper_broadcast_answer(monkeypatch):
 
 
 def test_upper_broadcast_of_c5_c7_within_a_small_budget():
-    # 277,503 nodes; 405,206 without the lookahead
+    # the floor of the 0-branch and the lookahead: 277,960 nodes, 352,780
+    # without the first and 406,865 without the second
     assert solve_upper_gamma_b(gen_torus(5, 7), 300_000).value == 20
 
 
@@ -1159,13 +1165,15 @@ def test_lookahead_leaves_the_broadcast_ladder_alone():
     # and witnesses were recorded before the oracle had the lookahead; a
     # change to the ladder in perfbench/workloads.py records them again.
     # The node counts were recorded again when the Gamma_b maximum took the
-    # lookahead (13,650 Gamma_b nodes before)
+    # lookahead (13,650 Gamma_b nodes before), and when the strength loop
+    # lost its unreachable-vertex test and its `first` break (1,703 gamma_b
+    # nodes before)
     rows, totals = ladder_rows("broadcast-ladder")
-    assert totals == {"Gamma_b": 12130, "gamma_b": 1703}
+    assert totals == {"Gamma_b": 12130, "gamma_b": 1790}
     assert sha256([row[:3] for row in rows]) == (
         "0fab8a7e52c463345105cb577d18f5b370df960557e48965eabcdbf694da65dc"
     )
-    assert sha256(rows) == "daf50780ad44731c4e015d353778aa90f2262a9853532b8b0c181294ea38dae0"
+    assert sha256(rows) == "1e6605bd44cbd99de2f2d048c93112982cfb8725d2fbae57bc4cdc752d8047e2"
 
 
 def test_set_order_leaves_the_set_ladder_values_alone():
